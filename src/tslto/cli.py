@@ -334,7 +334,8 @@ def cmd_grid(args):
             raise UsageError(
                 "--input requires --mask, --truth and --anomaly-truth"
             )
-    jobs = args.jobs or int(os.environ.get("TSLTO_JOBS", "1"))
+    jobs = min(args.jobs or int(os.environ.get("TSLTO_JOBS", "1")),
+               len(cells), os.cpu_count() or 1)
     outdir = _ensure_outdir(args)
     results = {}
     if jobs > 1:

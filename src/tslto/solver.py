@@ -1,8 +1,9 @@
 """ADMM driver for the sparse low-rank tensor recovery model.
 
 One outer iteration updates, in order: the completed tensor X, the Tucker
-core G, the three factors U1-U3 (Gauss-Seidel, each by a curvilinear
-manifold search), the anomaly tensor R (one backtracking proximal-gradient
+core G, the three factors U1-U3 (Gauss-Seidel, each by majorize-minimize
+polar steps on the Stiefel manifold, a departure from the paper's manifold
+search), the anomaly tensor R (one backtracking proximal-gradient
 step), the low-rank surrogate L, the auxiliary blocks Y1-Y3 and Z (group /
 elementwise hard thresholds), and finally the Lagrange multipliers.  The
 penalty weights alpha, gamma and s grow by a fixed factor each iteration up
@@ -158,6 +159,9 @@ def init_state(y, mask, cfg):
     if not mask.any():
         raise ValueError("empty observation mask: the model is unidentifiable")
     x0 = project_observed(y, mask)
+    bad = int(np.count_nonzero(~np.isfinite(x0)))
+    if bad:
+        raise ValueError(f"{bad} observed entries are not finite")
     l0 = x0.copy()
     r0 = np.zeros(dims)
     u1, u2, u3 = hosvd_factors(l0, cfg.ranks)
@@ -207,9 +211,12 @@ def update_G(state):
 def update_U(state, cfg):
     """Gauss-Seidel pass over the three factor subproblems.
 
-    The quadratic fit term (beta/2) * ||U M - L_[i]||^2 is evaluated through
-    its r x r normal form (A = beta * M M^T, C = beta * L_[i] M^T), computed
-    once per subproblem, so inner search iterations cost O(D r^2).
+    On U^T U = I the fit term (beta/2) * ||U M - L_[i]||^2 equals
+    -<U, C> + const with C = beta * L_[i] M^T, because
+    tr(U A U^T) = tr(A) for A = beta * M M^T; the subproblem is that linear
+    term plus the penalty <Y - D U, V> + (alpha/2) * ||Y - D U||^2, whose
+    curvature alpha * ||D^T D|| is below 4 * alpha.  Each MM-polar step is
+    therefore U+ = polar(C + D^T (V + alpha Y) + alpha (4I - D^T D) U).
     """
     us = [state.u1, state.u2, state.u3]
     ys = (state.y1, state.y2, state.y3)
@@ -217,28 +224,29 @@ def update_U(state, cfg):
     for i, mode in enumerate((1, 2, 3)):
         m = factor_coefficient(state.g, us[0], us[1], us[2], mode)
         l_unf = unfold(state.l, mode)
-        a = cfg.beta * (m @ m.T)
         c = cfg.beta * (l_unf @ m.T)
-        const = 0.5 * cfg.beta * float(np.vdot(l_unf, l_unf))
+        const = 0.5 * cfg.beta * (
+            float(np.vdot(l_unf, l_unf)) + float(np.vdot(m, m))
+        )
         y, v, alpha = ys[i], vs[i], state.alpha[i]
 
-        def evaluate(u, a=a, c=c, const=const, y=y, v=v, alpha=alpha):
+        def evaluate(u, c=c, const=const, y=y, v=v, alpha=alpha):
             res = y - toeplitz_diff(u)
             return (
-                0.5 * float(np.vdot(u @ a, u))
+                const
                 - float(np.vdot(u, c))
-                + const
                 + float(np.vdot(res, v))
                 + 0.5 * alpha * float(np.vdot(res, res))
             )
 
-        def gradient(u, a=a, c=c, y=y, v=v, alpha=alpha):
-            return u @ a - c - toeplitz_diff_adjoint(
-                v + alpha * (y - toeplitz_diff(u))
-            )
+        def gradient(u, c=c, y=y, v=v, alpha=alpha):
+            return -c - toeplitz_diff_adjoint(v + alpha * (y - toeplitz_diff(u)))
 
         us[i] = minimize_on_stiefel(
-            SmoothObjective(evaluate, gradient), us[i], max_iters=cfg.max_inner
+            SmoothObjective(evaluate, gradient),
+            us[i],
+            max_iters=cfg.max_inner,
+            lipschitz=4.0 * alpha,
         )
     return tuple(us)
 

@@ -1,10 +1,10 @@
 """Minimization of smooth objectives over matrices with orthonormal columns.
 
-Feasible curvilinear search along the Cayley curve
-Y(tau) = (I + tau/2 * A)^{-1} (I - tau/2 * A) U with A = G U^T - U G^T,
-trial steps from alternating Barzilai-Borwein estimates, monotone Armijo
-backtracking.  When 2r < D the Cayley solve uses the low-rank
-Sherman-Morrison-Woodbury form instead of the dense D x D system.
+Majorize-minimize polar iteration (the generalized power iteration of Nie,
+Zhang & Li, 2017): with L at least the curvature of f along the step, the
+model f(U) + <G, V - U> + (L/2) ||V - U||^2 majorizes f(V), and on the
+manifold ||V - U||^2 = 2r - 2 <V, U>, so its minimizer is the orthonormal
+polar factor of L U - G, one thin SVD per step, with no line search.
 """
 
 from dataclasses import dataclass
@@ -20,14 +20,6 @@ from .tensor_ops import (
     unfold,
 )
 
-ARMIJO_C = 1e-4
-BACKTRACK = 0.5
-STEP_MIN = 1e-10
-STEP_MAX = 1e10
-MAX_BACKTRACKS = 30
-ORTH_TOL = 1e-8
-DRIFT_TOL = 1e-10
-
 
 @dataclass
 class SmoothObjective:
@@ -42,83 +34,56 @@ def orthonormality_error(u):
     return frobenius_norm(u.T @ u - np.eye(u.shape[1]))
 
 
-def _reorthonormalize(u):
-    q, r = np.linalg.qr(u)
-    # Keep column orientation stable under the QR sign ambiguity.
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return q * signs
+def _polar(m):
+    """Orthonormal polar factor: the Stiefel point maximizing <U, m>."""
+    p, _, qt = np.linalg.svd(m, full_matrices=False)
+    return p @ qt
 
 
-def _cayley_step(u, g, tau):
-    d, r = u.shape
-    if 2 * r < d:
-        # A = P Q^T with P = [G, U], Q = [U, -G]; solve the 2r x 2r system.
-        p = np.hstack([g, u])
-        q = np.hstack([u, -g])
-        small = np.eye(2 * r) + (tau / 2.0) * (q.T @ p)
-        return u - tau * p @ np.linalg.solve(small, q.T @ u)
-    a = g @ u.T - u @ g.T
-    lhs = np.eye(d) + (tau / 2.0) * a
-    rhs = (np.eye(d) - (tau / 2.0) * a) @ u
-    return np.linalg.solve(lhs, rhs)
-
-
-def minimize_on_stiefel(obj, u0, max_iters=60):
+def minimize_on_stiefel(obj, u0, max_iters=60, lipschitz=None):
     """Descend `obj` from a feasible point, staying on the manifold.
 
-    Returns a point with objective value no larger than at u0.  Stops on
-    max_iters, on a small Riemannian gradient (||A @ U||_F below
-    1e-8 * (1 + ||u0||_F)), or when backtracking cannot find descent.
+    Each step is U+ = polar(L U - grad f(U)).  `lipschitz` is a bound on the
+    curvature of f; without one, L starts at ||G|| / ||U|| and doubles until
+    the majorization inequality holds at the trial point, so the objective
+    never increases either way.  Stops on max_iters, on a zero Riemannian
+    gradient (||G - U G^T U||_F below 1e-8 * (1 + ||u0||_F)), or when a
+    step moves U by at most 1e-10 * (1 + ||u0||_F).
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     u = np.asarray(u0, dtype=float)
-    f = float(obj.evaluate(u))
-    g = np.asarray(obj.gradient(u), dtype=float)
-    if not np.isfinite(f) or not np.all(np.isfinite(g)):
-        raise ValueError("non-finite objective or gradient at the initial point")
     grad_tol = 1e-8 * (1.0 + frobenius_norm(u))
-    tau = 1e-2 / (1.0 + frobenius_norm(g))
+    step_tol = 1e-10 * (1.0 + frobenius_norm(u))
+    lip = lipschitz
+    if lip is None:
+        f = float(obj.evaluate(u))
+        if not np.isfinite(f):
+            raise ValueError("non-finite objective at the initial point")
 
-    for it in range(max_iters):
-        # A @ U without forming A densely.
-        au = g @ (u.T @ u) - u @ (g.T @ u)
-        au_norm = frobenius_norm(au)
-        if au_norm <= grad_tol:
-            break
-        step = min(max(tau, STEP_MIN), STEP_MAX)
-        accepted = False
-        for _ in range(MAX_BACKTRACKS):
-            u_new = _cayley_step(u, g, step)
-            f_new = float(obj.evaluate(u_new))
-            if np.isfinite(f_new) and f_new <= f - ARMIJO_C * step * au_norm**2:
-                accepted = True
-                break
-            step *= BACKTRACK
-        if not accepted:
-            break
-        g_new = np.asarray(obj.gradient(u_new), dtype=float)
-        if not np.all(np.isfinite(g_new)):
+    for _ in range(max_iters):
+        g = np.asarray(obj.gradient(u), dtype=float)
+        if not np.all(np.isfinite(g)):
             raise ValueError("non-finite gradient during the manifold search")
-        s = u_new - u
-        y = g_new - g
-        sy = abs(float(np.vdot(s, y)))
-        if sy > 0:
-            if it % 2 == 0:
-                tau = float(np.vdot(s, s)) / sy
-            else:
-                yy = float(np.vdot(y, y))
-                tau = sy / yy if yy > 0 else tau
-        else:
-            # no curvature information (e.g. constant gradient): grow the
-            # accepted step instead of freezing at the initial scale
-            tau = min(2.0 * step, STEP_MAX)
-        u, f, g = u_new, f_new, g_new
-        if orthonormality_error(u) > DRIFT_TOL:
-            u = _reorthonormalize(u)
-            f = float(obj.evaluate(u))
-            g = np.asarray(obj.gradient(u), dtype=float)
+        if frobenius_norm(g - u @ (g.T @ u)) <= grad_tol:
+            break
+        if lip is None:
+            lip = frobenius_norm(g) / frobenius_norm(u)
+        u_new = _polar(lip * u - g)
+        step = u_new - u
+        while lipschitz is None and frobenius_norm(step) > step_tol:
+            f_new = float(obj.evaluate(u_new))
+            if f_new <= f + float(np.vdot(g, step)) + 0.5 * lip * float(
+                np.vdot(step, step)
+            ):
+                f = f_new
+                break
+            lip *= 2.0
+            u_new = _polar(lip * u - g)
+            step = u_new - u
+        if frobenius_norm(step) <= step_tol:
+            break
+        u = u_new
     return u
 
 

@@ -1,9 +1,10 @@
+import concurrent.futures
 import csv
 
 import numpy as np
 import pytest
 
-from tslto import tucker_reconstruct
+from tslto import cli, tucker_reconstruct
 from tslto.cli import main
 from tslto.io import read_manifest, read_mask, read_tsr3, write_mask, write_tsr3
 
@@ -214,6 +215,37 @@ class TestGrid:
         rc = main(["grid", "--grid-key1", "bogus", "--grid-values1", "1",
                    "--out", str(tmp_path / "g")])
         assert rc == 1
+
+    @pytest.mark.parametrize("jobs, cpus, workers", [(4, 8, 2), (3, 2, 2)])
+    def test_jobs_capped(self, tmp_path, monkeypatch, jobs, cpus, workers):
+        # A stand-in pool runs cells inline and records its size, so no
+        # worker process starts.
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = concurrent.futures.Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        rc = main(["grid", "--grid-key1", "missing_rate",
+                   "--grid-values1", "0.2;0.3", "--jobs", str(jobs),
+                   "--out", str(tmp_path / "g"), "--seed", "9"]
+                  + GEN_FLAGS[:-2] + SOLVE_FLAGS)
+        assert rc == 0
+        assert sizes == [workers]
 
     def test_cell_cap(self, tmp_path):
         rc = main(["grid", "--grid-key1", "seed",

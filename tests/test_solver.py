@@ -106,6 +106,16 @@ class TestInitState:
         with pytest.raises(ValueError):
             init_state(y, np.zeros(y.shape, bool), SolverConfig(ranks=(2, 2, 2)))
 
+    def test_non_finite_observed_entries_raise(self):
+        y = np.ones((4, 4, 4))
+        y[0, 0, 0] = np.nan
+        y[1, 2, 3] = np.inf
+        y[3, 3, 3] = np.nan  # off the mask: never read
+        mask = np.ones(y.shape, bool)
+        mask[3, 3, 3] = False
+        with pytest.raises(ValueError, match="2 observed entries are not finite"):
+            init_state(y, mask, SolverConfig(ranks=(2, 2, 2)))
+
     def test_ranks_exceed_dims_raises(self):
         y = np.ones((4, 4, 4))
         with pytest.raises(ValueError):

@@ -10,7 +10,9 @@ from tslto import (
     tucker_reconstruct,
     unfold,
 )
-from tslto.stiefel import _cayley_step, factor_coefficient, orthonormality_error
+from tslto import solver
+from tslto.solver import SolverConfig, init_state, update_U
+from tslto.stiefel import _polar, factor_coefficient, orthonormality_error
 
 
 def random_stiefel(rng, d, r):
@@ -35,33 +37,83 @@ def fd_gradient(fun, u, h=1e-6):
     return grad
 
 
-class TestCayleyStep:
+class TestPolarStep:
     def test_preserves_orthonormality(self):
         rng = np.random.default_rng(0)
         u = random_stiefel(rng, 8, 3)
         g = rng.standard_normal((8, 3))
-        for tau in (1e-3, 0.1, 1.0):
-            assert orthonormality_error(_cayley_step(u, g, tau)) <= 1e-10
-
-    def test_low_rank_solve_matches_dense(self):
-        # 2r < d triggers the Woodbury branch; compare against the dense
-        # Cayley formula computed directly.
-        rng = np.random.default_rng(1)
-        d, r = 10, 2
-        u = random_stiefel(rng, d, r)
-        g = rng.standard_normal((d, r))
-        tau = 0.37
-        a = g @ u.T - u @ g.T
-        dense = np.linalg.solve(np.eye(d) + tau / 2 * a,
-                                (np.eye(d) - tau / 2 * a) @ u)
-        np.testing.assert_allclose(_cayley_step(u, g, tau), dense, atol=1e-10)
+        obj = SmoothObjective(lambda u: 0.0, lambda u: g)
+        for lip in (1e-3, 0.1, 1.0, 1e3):
+            step = minimize_on_stiefel(obj, u, max_iters=1, lipschitz=lip)
+            assert orthonormality_error(step) <= 1e-10
+            np.testing.assert_allclose(step, _polar(lip * u - g), atol=1e-12)
 
     def test_zero_gradient_fixed_point(self):
+        # G = U S with S symmetric has zero Riemannian gradient; the step
+        # polar(L U - G) = polar(U (L I - S)) returns U once L I - S > 0.
         rng = np.random.default_rng(2)
         u = random_stiefel(rng, 4, 2)
-        np.testing.assert_allclose(
-            _cayley_step(u, np.zeros_like(u), 0.5), u, atol=1e-12
+        s = rng.standard_normal((2, 2))
+        s = s + s.T
+        lip = 1.0 + np.linalg.eigvalsh(s).max()
+        np.testing.assert_allclose(_polar(lip * u - u @ s), u, atol=1e-12)
+        obj = SmoothObjective(lambda v: 0.0, lambda v: v @ s)
+        np.testing.assert_array_equal(
+            minimize_on_stiefel(obj, u, lipschitz=lip), u
         )
+
+    def test_quadratic_term_constant_on_manifold(self):
+        rng = np.random.default_rng(11)
+        for d, r in ((9, 3), (50, 3), (6, 6)):
+            u = random_stiefel(rng, d, r)
+            m = rng.standard_normal((r, 40))
+            a = 450.0 * (m @ m.T)
+            half_tr = 0.5 * np.trace(a)
+            assert abs(0.5 * np.vdot(u @ a, u) - half_tr) <= 1e-12 * half_tr
+
+    def test_factor_steps_never_increase_full_objective(self, monkeypatch):
+        # Record the subproblems update_U hands to the manifold search, then
+        # step each one and score every iterate by the full subproblem
+        # objective, including (1/2) tr(U A U^T).
+        rng = np.random.default_rng(12)
+        dims, ranks = (9, 8, 7), (3, 2, 2)
+        cfg = SolverConfig(ranks=ranks, beta=0.5, alpha=(5.0, 20.0, 50.0))
+        state = init_state(rng.standard_normal(dims),
+                           np.ones(dims, bool), cfg)
+        for k, (d, r) in enumerate(zip(dims, ranks), start=1):
+            setattr(state, f"y{k}", rng.standard_normal((d - 1, r)))
+            setattr(state, f"v{k}", rng.standard_normal((d - 1, r)))
+        calls = []
+
+        def recording(obj, u0, **kwargs):
+            calls.append((obj, u0, kwargs))
+            return minimize_on_stiefel(obj, u0, **kwargs)
+
+        monkeypatch.setattr(solver, "minimize_on_stiefel", recording)
+        us = list(update_U(state, cfg))
+        assert len(calls) == 3
+        for i, (obj, u, kwargs) in enumerate(calls):
+            mode = i + 1
+            trial = us[:i] + [u] + list(state.factors[i + 1:])
+            m = factor_coefficient(state.g, *trial, mode)
+            l_unf = unfold(state.l, mode)
+            y, v = getattr(state, f"y{mode}"), getattr(state, f"v{mode}")
+            alpha = state.alpha[i]
+
+            def full(u):
+                res = y - toeplitz_diff(u)
+                return (0.5 * cfg.beta * np.sum((u @ m - l_unf) ** 2)
+                        + np.vdot(res, v) + 0.5 * alpha * np.vdot(res, res))
+
+            assert kwargs["lipschitz"] == 4.0 * alpha
+            assert abs(obj.evaluate(u) - full(u)) <= 1e-10 * abs(full(u))
+            values = [full(u)]
+            for _ in range(20):
+                u = minimize_on_stiefel(obj, u, max_iters=1,
+                                        lipschitz=kwargs["lipschitz"])
+                values.append(full(u))
+            assert np.all(np.diff(values) <= 1e-10 * abs(values[0]))
+            assert values[-1] < values[0]
 
 
 class TestMinimizeOnStiefel:
