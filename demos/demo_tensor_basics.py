@@ -13,7 +13,6 @@ from tslto import (
     frobenius_norm,
     hard_threshold_l0,
     group_hard_threshold_l20,
-    kronecker,
     tucker_reconstruct,
     unfold,
 )
@@ -38,7 +37,7 @@ u1, u2, u3 = (np.linalg.qr(rng.standard_normal((d, 2)))[0] for d in (5, 4, 3))
 t = tucker_reconstruct(g, u1, u2, u3)
 # the unfolded reconstruction factors through a Kronecker product
 lhs = unfold(t, 1)
-rhs = u1 @ unfold(g, 1) @ kronecker(u3, u2).T
+rhs = u1 @ unfold(g, 1) @ np.kron(u3, u2).T
 print("unfold(G x1 U1 x2 U2 x3 U3, 1) == U1 G_(1) (U3 (x) U2)^T :",
       frobenius_norm(lhs - rhs) < 1e-12)
 print("tensor is", t.shape, "but parametrized by",

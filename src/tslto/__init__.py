@@ -25,7 +25,6 @@ from .stiefel import SmoothObjective, grad_U_subproblem, grad_fbeta_U, minimize_
 from .tensor_ops import (
     fold,
     frobenius_norm,
-    kronecker,
     l0_count,
     l20_count,
     mode_n_product,

@@ -163,7 +163,9 @@ def cmd_generate(args):
 
 def _run_solve(values, y, mask, outdir=None):
     cfg = solver_config_from(values)
-    result = solve(y, mask, cfg, trace_every=values["trace_every"])
+    # only `tslto solve` (with outdir) writes trace.csv; others skip the rows
+    trace_every = values["trace_every"] if outdir else 0
+    result = solve(y, mask, cfg, trace_every=trace_every)
     if outdir:
         tio.write_tsr3(os.path.join(outdir, "x.tsr3"), result.x)
         tio.write_tsr3(os.path.join(outdir, "l.tsr3"), result.l)

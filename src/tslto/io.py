@@ -29,15 +29,22 @@ def read_tsr3(path):
         magic = f.read(4)
         if magic != MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        dims = np.frombuffer(f.read(12), dtype="<u4")
-        if len(dims) != 3 or np.any(dims == 0):
+        header = f.read(12)
+        if len(header) != 12:
+            raise ValueError(
+                f"{path}: truncated header, {4 + len(header)} of 16 bytes"
+            )
+        dims = np.frombuffer(header, dtype="<u4")
+        if np.any(dims == 0):
             raise ValueError(f"{path}: invalid dims {dims}")
         d1, d2, d3 = (int(d) for d in dims)
-        raw = np.frombuffer(f.read(), dtype="<f8")
-        if raw.size != d1 * d2 * d3:
+        payload = f.read()
+        if len(payload) != 8 * d1 * d2 * d3:
             raise ValueError(
-                f"{path}: expected {d1 * d2 * d3} values, found {raw.size}"
+                f"{path}: expected {d1 * d2 * d3} values "
+                f"({8 * d1 * d2 * d3} bytes), found {len(payload)} bytes"
             )
+    raw = np.frombuffer(payload, dtype="<f8")
     return fold(raw.reshape(d1, d2 * d3), 1, (d1, d2, d3))
 
 
@@ -60,7 +67,8 @@ def write_csv_triples(path, x):
 
 
 def read_csv_triples(path, dims=None):
-    """Read an `i,j,k,value` CSV; dims default to the max index per mode."""
+    """Read an `i,j,k,value` CSV with 1-based indices; dims default to the
+    max index per mode.  An index below 1 or beyond `dims` raises."""
     triples = []
     with open(path, newline="") as f:
         r = csv.reader(f)
@@ -70,7 +78,17 @@ def read_csv_triples(path, dims=None):
         for row in r:
             if not row:
                 continue
-            i, j, k = int(row[0]), int(row[1]), int(row[2])
+            index = tuple(int(v) for v in row[:3])
+            if min(index) < 1:
+                raise ValueError(
+                    f"{path}, line {r.line_num}: indices are 1-based, got {index}"
+                )
+            if dims is not None and any(i > d for i, d in zip(index, dims)):
+                raise ValueError(
+                    f"{path}, line {r.line_num}: index {index} exceeds dims "
+                    f"{tuple(dims)}"
+                )
+            i, j, k = index
             triples.append((i - 1, j - 1, k - 1, float(row[3])))
     if dims is None:
         if not triples:

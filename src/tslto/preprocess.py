@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import hosvd_factors
-from .tensor_ops import mode_n_product, unfold
+from .tensor_ops import tucker_reconstruct, unfold
 
 
 @dataclass
@@ -41,24 +41,14 @@ def hosvd(x, ranks):
     x = np.asarray(x, dtype=float)
     if any(r > d for r, d in zip(ranks, x.shape)):
         raise ValueError(f"ranks {tuple(ranks)} exceed dims {x.shape}")
-    factors = hosvd_factors(x, ranks)
-    core = x
-    for mode, u in enumerate(factors, start=1):
-        core = mode_n_product(core, u.T, mode)
-    return core, factors
-
-
-def _reconstruct(core, factors):
-    out = core
-    for mode, u in enumerate(factors, start=1):
-        out = mode_n_product(out, u, mode)
-    return out
+    u1, u2, u3 = factors = hosvd_factors(x, ranks)
+    return tucker_reconstruct(x, u1.T, u2.T, u3.T), factors
 
 
 def tucker_smooth(x, ranks):
     """HOSVD truncation at the given ranks, then reconstruction."""
     core, factors = hosvd(x, ranks)
-    return _reconstruct(core, factors)
+    return tucker_reconstruct(core, *factors)
 
 
 def scale_transform(x, t=None):
@@ -66,7 +56,7 @@ def scale_transform(x, t=None):
     t = t or ScaleTransform()
     t.validate()
     core, factors = hosvd(np.asarray(x, dtype=float) - t.shift, t.ranks)
-    return _reconstruct(core * t.core_scale, factors)
+    return tucker_reconstruct(core * t.core_scale, *factors)
 
 
 def scale_revert(x, t=None):
@@ -74,7 +64,7 @@ def scale_revert(x, t=None):
     t = t or ScaleTransform()
     t.validate()
     core, factors = hosvd(np.asarray(x, dtype=float), t.ranks)
-    return _reconstruct(core / t.core_scale, factors) + t.shift
+    return tucker_reconstruct(core / t.core_scale, *factors) + t.shift
 
 
 def observation_mask_from_zeros(x):

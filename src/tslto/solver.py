@@ -25,7 +25,6 @@ from .tensor_ops import (
     frobenius_norm,
     l0_count,
     l20_count,
-    mode_n_product,
     project_observed,
     toeplitz_diff,
     toeplitz_diff_adjoint,
@@ -53,15 +52,17 @@ class SolverConfig:
     ranks: tuple = (3, 3, 3)
     max_outer: int = 2000
     max_inner: int = 60
-    prox_lambda0: float = 0.0  # 0 means 1/s at initialization
     prox_rho: float = 0.5
     seed: int = 0
 
     def validate(self):
         if self.beta < 0 or self.mu1 < 0 or self.mu2 < 0 or min(self.lam) < 0:
             raise ValueError("objective weights must be nonnegative")
-        if min(self.alpha) <= 0 or self.gamma <= 0 or self.s <= 0:
-            raise ValueError("penalty parameters alpha, gamma, s must be positive")
+        if (min(self.alpha) <= 0 or self.gamma <= 0 or self.s <= 0
+                or self.penalty_cap <= 0):
+            raise ValueError(
+                "penalty parameters alpha, gamma, s and penalty_cap must be positive"
+            )
         if self.growth < 1:
             raise ValueError("growth must be >= 1")
         if not 0 < self.prox_rho < 1:
@@ -124,19 +125,12 @@ class SolveResult:
 
 def block_diff(m):
     """Row differences followed by column differences (T_l @ M @ T_r.T)."""
-    d = m[:-1] - m[1:]
-    return d[:, :-1] - d[:, 1:]
+    return toeplitz_diff(toeplitz_diff(m).T).T
 
 
 def block_diff_adjoint(m):
     """Adjoint of :func:`block_diff` (T_l.T @ M @ T_r)."""
-    rows = np.zeros((m.shape[0] + 1, m.shape[1]))
-    rows[:-1] += m
-    rows[1:] -= m
-    out = np.zeros((rows.shape[0], rows.shape[1] + 1))
-    out[:, :-1] += rows
-    out[:, 1:] -= rows
-    return out
+    return toeplitz_diff_adjoint(toeplitz_diff_adjoint(m).T).T
 
 
 def hosvd_factors(x, ranks):
@@ -165,31 +159,30 @@ def init_state(y, mask, cfg):
     l0 = x0.copy()
     r0 = np.zeros(dims)
     u1, u2, u3 = hosvd_factors(l0, cfg.ranks)
-    g0 = mode_n_product(
-        mode_n_product(mode_n_product(l0, u1.T, 1), u2.T, 2), u3.T, 3
-    )
-    prox_lam = cfg.prox_lambda0 if cfg.prox_lambda0 > 0 else 1.0 / cfg.s
+    # z and w take block_diff's (column-major) layout, so that Z - D R and
+    # the multiplier update never mix memory layouts
+    zshape = (dims[0] - 1, dims[1] * dims[2] - 1)
     return SolverState(
         x=x0,
         l=l0,
         r=r0,
-        g=g0,
+        g=tucker_reconstruct(l0, u1.T, u2.T, u3.T),
         u1=u1,
         u2=u2,
         u3=u3,
         y1=toeplitz_diff(u1),
         y2=toeplitz_diff(u2),
         y3=toeplitz_diff(u3),
-        z=np.zeros((dims[0] - 1, dims[1] * dims[2] - 1)),
+        z=np.zeros(zshape, order="F"),
         v1=np.zeros((dims[0] - 1, cfg.ranks[0])),
         v2=np.zeros((dims[1] - 1, cfg.ranks[1])),
         v3=np.zeros((dims[2] - 1, cfg.ranks[2])),
-        w=np.zeros((dims[0] - 1, dims[1] * dims[2] - 1)),
+        w=np.zeros(zshape, order="F"),
         p=np.zeros(dims),
         alpha=np.asarray(cfg.alpha, dtype=float),
         gamma=float(cfg.gamma),
         s=float(cfg.s),
-        prox_lam=float(prox_lam),
+        prox_lam=1.0 / cfg.s,
     )
 
 
@@ -201,11 +194,7 @@ def update_X(state, y, mask):
 
 def update_G(state):
     """Core that minimizes the Tucker fit to L given orthonormal factors."""
-    return mode_n_product(
-        mode_n_product(mode_n_product(state.l, state.u1.T, 1), state.u2.T, 2),
-        state.u3.T,
-        3,
-    )
+    return tucker_reconstruct(state.l, state.u1.T, state.u2.T, state.u3.T)
 
 
 def update_U(state, cfg):
@@ -251,26 +240,26 @@ def update_U(state, cfg):
     return tuple(us)
 
 
-def _r_smooth_value(r, state):
-    res_z = state.z - block_diff(unfold(r, 1))
-    res_xlr = state.x - state.l - r
-    return (
-        float(np.vdot(res_z, state.w))
-        + 0.5 * state.gamma * float(np.vdot(res_z, res_z))
-        + float(np.vdot(res_xlr, state.p))
-        + 0.5 * state.s * float(np.vdot(res_xlr, res_xlr))
-    )
+def _r_smooth(r, state, gradient=False):
+    """Smooth part of the R subproblem, or (value, gradient).
 
-
-def _r_smooth_gradient(r, state):
-    dims = r.shape
-    res_z = state.z - block_diff(unfold(r, 1))
-    grad_mat = -block_diff_adjoint(state.w) - state.gamma * block_diff_adjoint(res_z)
-    return (
-        fold(grad_mat, 1, dims)
-        - state.p
-        - state.s * (state.x - state.l - r)
+    The completed square (gamma/2) ||Z + W/gamma - D R||^2
+    + (s/2) ||X - L + P/s - R||^2 differs from the augmented-Lagrangian
+    terms <Z - D R, W> + (gamma/2) ||Z - D R||^2 + <X - L - R, P>
+    + (s/2) ||X - L - R||^2 only by a constant in R.
+    """
+    res_z = state.z + state.w / state.gamma - block_diff(unfold(r, 1))
+    res_xlr = state.x - state.l + state.p / state.s - r
+    value = 0.5 * (
+        state.gamma * float(np.vdot(res_z, res_z))
+        + state.s * float(np.vdot(res_xlr, res_xlr))
     )
+    if not gradient:
+        return value
+    grad = fold(block_diff_adjoint(res_z), 1, r.shape)
+    grad *= -state.gamma
+    grad -= state.s * res_xlr
+    return value, grad
 
 
 def update_R(state, cfg, max_halvings=50):
@@ -280,8 +269,7 @@ def update_R(state, cfg, max_halvings=50):
     outer iteration's line search.
     """
     r = state.r
-    f0 = _r_smooth_value(r, state)
-    grad = _r_smooth_gradient(r, state)
+    f0, grad = _r_smooth(r, state, gradient=True)
     lam = state.prox_lam
     for _ in range(max_halvings):
         candidate = hard_threshold_l0(r - lam * grad, lam * cfg.mu1)
@@ -289,7 +277,7 @@ def update_R(state, cfg, max_halvings=50):
         quad = f0 + float(np.vdot(grad, delta)) + float(np.vdot(delta, delta)) / (
             2.0 * lam
         )
-        if _r_smooth_value(candidate, state) <= quad + 1e-12 * (1.0 + abs(quad)):
+        if _r_smooth(candidate, state) <= quad + 1e-12 * (1.0 + abs(quad)):
             return candidate, lam
         lam *= cfg.prox_rho
     raise SolverDivergenceError(
@@ -368,9 +356,9 @@ def model_objective(state, cfg):
 def solve(y, mask, cfg, trace_every=0):
     """Run the full ADMM loop; returns recovered X, low-rank L, anomaly R.
 
-    trace_every > 0 records a diagnostics row every that many iterations
-    (iteration, objective, the three feasibility residuals, and the four
-    relative block changes).
+    trace_every > 0 records a diagnostics row on the first and last
+    iterations and every that many in between (iteration, objective, the
+    three feasibility residuals, and the four relative block changes).
     """
     y = np.asarray(y, dtype=float)
     mask = np.asarray(mask, dtype=bool)
@@ -378,7 +366,6 @@ def solve(y, mask, cfg, trace_every=0):
     obj_trace = []
     trace = []
     converged = False
-    rel_changes = (np.inf,) * 4
     for k in range(1, cfg.max_outer + 1):
         state.iter = k
         prev_blocks = (state.x, state.g, state.l, state.r)
@@ -397,25 +384,22 @@ def solve(y, mask, cfg, trace_every=0):
             raise SolverDivergenceError(
                 f"non-finite state at outer iteration {k}"
             )
-        rel_changes = tuple(
-            _relative_change(p, c) for p, c in zip(prev_blocks, cur_blocks)
-        )
         objective = model_objective(state, cfg)
         obj_trace.append(objective)
-        if trace_every and (k % trace_every == 0 or k == 1):
+        converged = k > 1 and check_convergence(prev_blocks, cur_blocks, cfg.eps)
+        last = converged or k == cfg.max_outer
+        if trace_every and (k % trace_every == 0 or k == 1 or last):
+            rel_changes = (
+                _relative_change(p, c) for p, c in zip(prev_blocks, cur_blocks)
+            )
             trace.append((k, objective, *state.residuals(), *rel_changes))
-        if k > 1 and all(rc < cfg.eps for rc in rel_changes):
-            converged = True
+        if converged:
             break
 
         state.alpha = np.minimum(state.alpha * cfg.growth, cfg.penalty_cap)
         state.gamma = min(state.gamma * cfg.growth, cfg.penalty_cap)
         state.s = min(state.s * cfg.growth, cfg.penalty_cap)
 
-    if trace_every and (not trace or trace[-1][0] != state.iter):
-        trace.append(
-            (state.iter, obj_trace[-1], *state.residuals(), *rel_changes)
-        )
     return SolveResult(
         x=state.x,
         l=state.l,

@@ -93,14 +93,12 @@ def factor_coefficient(g_core, u1, u2, u3, mode):
     The Kronecker factor of the unfolded Tucker form is applied through mode
     products, never materialized.
     """
-    if mode == 1:
-        t = mode_n_product(mode_n_product(g_core, u2, 2), u3, 3)
-    elif mode == 2:
-        t = mode_n_product(mode_n_product(g_core, u1, 1), u3, 3)
-    elif mode == 3:
-        t = mode_n_product(mode_n_product(g_core, u1, 1), u2, 2)
-    else:
+    if mode not in (1, 2, 3):
         raise ValueError(f"invalid mode {mode!r}")
+    t = g_core
+    for other, u in zip((1, 2, 3), (u1, u2, u3)):
+        if other != mode:
+            t = mode_n_product(t, u, other)
     return unfold(t, mode)
 
 

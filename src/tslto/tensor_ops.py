@@ -18,15 +18,6 @@ def _check_mode(mode):
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-def kronecker(a, b):
-    """Kronecker product of two matrices."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.size == 0 or b.size == 0:
-        raise ValueError("kronecker requires nonempty matrices")
-    return np.kron(a, b)
-
-
 def unfold(x, mode):
     """Mode-k unfolding of a third-order tensor.
 

@@ -169,7 +169,8 @@ class TestPreprocess:
 
 
 class TestAblate:
-    def test_all_variants_reported(self, tmp_path):
+    @staticmethod
+    def run_ablate(tmp_path, *extra):
         gen = generate_instance(tmp_path / "gen")
         full = read_tsr3(gen / "full.tsr3")
         mask = read_mask(gen / "mask.tsr3")
@@ -180,11 +181,27 @@ class TestAblate:
                    "--truth", str(gen / "full.tsr3"),
                    "--anomaly-truth", str(gen / "anomaly_truth.tsr3"),
                    "--out", str(out), "--ranks", "2,2,2",
-                   "--max-outer", "5", "--scope", "missing"])
+                   "--max-outer", "5", "--scope", "missing", *extra])
         assert rc == 0
-        rows = read_csv_rows(out / "ablation.csv")
+        return out
+
+    def test_all_variants_reported(self, tmp_path):
+        rows = read_csv_rows(self.run_ablate(tmp_path) / "ablation.csv")
         assert [r["variant"] for r in rows] == list("abcdefg") + ["full"]
         assert all(r["f1"] != "" for r in rows)
+
+    def test_variants_build_no_trace_rows(self, tmp_path, monkeypatch):
+        # ablate writes no trace.csv, so its solves must not build trace rows
+        seen = []
+        real_solve = cli.solve
+
+        def recording_solve(*args, trace_every=0, **kwargs):
+            seen.append(trace_every)
+            return real_solve(*args, trace_every=trace_every, **kwargs)
+
+        monkeypatch.setattr(cli, "solve", recording_solve)
+        self.run_ablate(tmp_path, "--trace-every", "2")
+        assert seen == [0] * 8
 
 
 class TestGrid:

@@ -1,7 +1,13 @@
+import re
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tslto import unfold
 from tslto.io import (
@@ -44,9 +50,12 @@ class TestTsr3:
         x = np.ones((2, 2, 2))
         path = tmp_path / "t.tsr3"
         write_tsr3(path, x)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ValueError):
-            read_tsr3(path)
+        full = path.read_bytes()
+        # a whole value, part of a value, part of the header
+        for cut in (full[:-8], full[:-3], full[:10]):
+            path.write_bytes(cut)
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                read_tsr3(path)
 
     def test_zero_dim_rejected(self, tmp_path):
         path = tmp_path / "z.tsr3"
@@ -57,6 +66,22 @@ class TestTsr3:
     def test_non_third_order_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_tsr3(tmp_path / "m.tsr3", np.ones((2, 2)))
+
+    @settings(deadline=None, max_examples=50)
+    @given(hnp.arrays(
+        np.float64, hnp.array_shapes(min_dims=3, max_dims=3, max_side=5),
+        elements=st.floats(allow_nan=False),
+    ), st.data())
+    def test_roundtrip_and_truncation_properties(self, x, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "p.tsr3"
+            write_tsr3(path, x)
+            assert np.array_equal(read_tsr3(path), x)
+            full = path.read_bytes()
+            cut = data.draw(st.integers(4, len(full) - 1), label="cut")
+            path.write_bytes(full[:cut])
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                read_tsr3(path)
 
     def test_mask_roundtrip(self, tmp_path):
         mask = np.random.default_rng(1).random((4, 3, 2)) < 0.5
@@ -90,6 +115,22 @@ class TestCsvTriples:
         assert out.shape == (2, 2, 2)
         assert out[0, 0, 0] == 2.5
         assert out.sum() == 2.5
+
+    @pytest.mark.parametrize("row", ["0,1,1,5", "1,-1,1,5", "2,1,0,5"])
+    def test_non_positive_index_rejected(self, tmp_path, row):
+        path = tmp_path / "zero.csv"
+        path.write_text(f"i,j,k,value\n1,1,1,2.5\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 3")):
+            read_csv_triples(path)
+        with pytest.raises(ValueError, match="1-based"):
+            read_csv_triples(path, dims=(2, 2, 2))
+
+    def test_index_beyond_dims_rejected(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("i,j,k,value\n1,1,1,2.5\n1,3,1,1.0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 3")):
+            read_csv_triples(path, dims=(2, 2, 2))
+        assert read_csv_triples(path).shape == (1, 3, 1)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

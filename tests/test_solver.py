@@ -2,6 +2,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from hypothesis.extra import numpy as hnp
 
 from tslto import (
     SolverConfig,
@@ -15,6 +18,7 @@ from tslto import (
     unfold,
 )
 from tslto.solver import (
+    _r_smooth,
     block_diff,
     block_diff_adjoint,
     check_convergence,
@@ -54,10 +58,34 @@ class TestConfigValidation:
         {"max_outer": 0},
         {"ranks": (3, 3)},
         {"ranks": (3, 0, 3)},
+        {"penalty_cap": 0.0},
     ])
     def test_invalid_values_raise(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs).validate()
+
+
+def _two_slice_block_diff(m):
+    d = m[:-1] - m[1:]
+    return d[:, :-1] - d[:, 1:]
+
+
+def _two_slice_block_diff_adjoint(m):
+    rows = np.zeros((m.shape[0] + 1, m.shape[1]))
+    rows[:-1] += m
+    rows[1:] -= m
+    out = np.zeros((rows.shape[0], rows.shape[1] + 1))
+    out[:, :-1] += rows
+    out[:, 1:] -= rows
+    return out
+
+
+def _matrices(min_side):
+    return hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=min_side, max_side=9),
+        elements=hst.floats(-1e6, 1e6),
+    )
 
 
 class TestBlockDiff:
@@ -71,13 +99,80 @@ class TestBlockDiff:
         np.testing.assert_array_equal(block_diff(np.full((4, 5), 3.0)),
                                       np.zeros((3, 4)))
 
-    def test_adjoint_identity(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            x = rng.standard_normal((5, 6))
-            y = rng.standard_normal((4, 5))
-            assert abs(np.vdot(block_diff(x), y)
-                       - np.vdot(x, block_diff_adjoint(y))) <= 1e-12
+    @given(hst.integers(2, 12), hst.integers(2, 12), hst.integers(0, 2**32 - 1))
+    def test_adjoint_identity(self, n, c, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, c))
+        y = rng.standard_normal((n - 1, c - 1))
+        assert abs(np.vdot(block_diff(x), y)
+                   - np.vdot(x, block_diff_adjoint(y))) <= 1e-12 * n * c
+
+    @given(_matrices(min_side=2))
+    def test_matches_two_slice_spelling(self, m):
+        np.testing.assert_array_equal(block_diff(m), _two_slice_block_diff(m))
+
+    @given(_matrices(min_side=1))
+    def test_adjoint_matches_two_slice_spelling(self, m):
+        np.testing.assert_array_equal(
+            block_diff_adjoint(m), _two_slice_block_diff_adjoint(m)
+        )
+
+
+def _random_r_state(dims, seed):
+    rng = np.random.default_rng(seed)
+    d1, d2, d3 = dims
+    zshape = (d1 - 1, d2 * d3 - 1)
+    return SimpleNamespace(
+        z=rng.standard_normal(zshape),
+        w=rng.standard_normal(zshape),
+        gamma=float(rng.uniform(0.5, 20.0)),
+        x=rng.standard_normal(dims),
+        l=rng.standard_normal(dims),
+        p=rng.standard_normal(dims),
+        s=float(rng.uniform(0.5, 20.0)),
+    )
+
+
+def _four_term_value(r, state):
+    """The augmented-Lagrangian terms in R, without completing the square."""
+    res_z = state.z - block_diff(unfold(r, 1))
+    res_xlr = state.x - state.l - r
+    return (
+        float(np.vdot(res_z, state.w))
+        + 0.5 * state.gamma * float(np.vdot(res_z, res_z))
+        + float(np.vdot(res_xlr, state.p))
+        + 0.5 * state.s * float(np.vdot(res_xlr, res_xlr))
+    )
+
+
+_r_dims = hst.tuples(hst.integers(2, 5), hst.integers(2, 5), hst.integers(1, 5))
+
+
+class TestRSmooth:
+    @settings(deadline=None)
+    @given(_r_dims, hst.integers(0, 2**32 - 1))
+    def test_differs_from_four_terms_by_a_constant(self, dims, seed):
+        state = _random_r_state(dims, seed)
+        rng = np.random.default_rng(seed + 1)
+        r1, r2 = 3.0 * rng.standard_normal((2, *dims))
+        gaps = [_r_smooth(r, state) - _four_term_value(r, state) for r in (r1, r2)]
+        scale = 1.0 + max(abs(_r_smooth(r, state)) for r in (r1, r2))
+        assert abs(gaps[0] - gaps[1]) <= 1e-10 * scale
+
+    @settings(deadline=None)
+    @given(_r_dims, hst.integers(0, 2**32 - 1))
+    def test_gradient_matches_central_differences(self, dims, seed):
+        state = _random_r_state(dims, seed)
+        rng = np.random.default_rng(seed + 1)
+        r = rng.standard_normal(dims)
+        value, grad = _r_smooth(r, state, gradient=True)
+        assert value == _r_smooth(r, state)
+        assert grad.shape == dims
+        h = 1e-3
+        for _ in range(3):
+            d = rng.standard_normal(dims)
+            fd = (_r_smooth(r + h * d, state) - _r_smooth(r - h * d, state)) / (2 * h)
+            assert abs(fd - float(np.vdot(grad, d))) <= 1e-6 * (1.0 + abs(fd))
 
 
 class TestInitState:
@@ -385,13 +480,16 @@ class TestSolve:
 
     def test_trace_rows(self):
         y, _, _ = exact_tucker_tensor(24, dims=(8, 8, 8))
-        res = solve(y, np.ones(y.shape, bool),
-                    SolverConfig(ranks=(2, 2, 2), max_outer=25, eps=1e-12),
-                    trace_every=10)
-        iters = [row[0] for row in res.trace]
-        assert iters[0] == 1
-        assert iters[-1] == res.iterations
-        assert len(res.objective_trace) == res.iterations
+        for max_outer in (25, 20):  # 20 is a multiple of trace_every
+            res = solve(y, np.ones(y.shape, bool),
+                        SolverConfig(ranks=(2, 2, 2), max_outer=max_outer,
+                                     eps=1e-12),
+                        trace_every=10)
+            iters = [row[0] for row in res.trace]
+            n = res.iterations
+            assert iters == sorted({1, n, *range(10, n + 1, 10)})
+            assert len(res.objective_trace) == n
+            assert all(len(row) == 9 for row in res.trace)
 
 
 class TestAblationConfig:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tslto import (
     fold,
     frobenius_norm,
-    kronecker,
     l0_count,
     l20_count,
     mode_n_product,
@@ -55,24 +57,6 @@ def naive_tucker(g, u1, u2, u3):
     return out
 
 
-class TestKronecker:
-    def test_identity_pair(self):
-        np.testing.assert_array_equal(kronecker(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_hand_example(self):
-        a = np.array([[1.0, 2.0]])
-        b = np.array([[3.0], [4.0]])
-        np.testing.assert_array_equal(kronecker(a, b), [[3.0, 6.0], [4.0, 8.0]])
-
-    def test_mixed_product_property(self):
-        rng = np.random.default_rng(0)
-        a, c = rng.standard_normal((2, 3, 3))
-        b, d = rng.standard_normal((2, 4, 4))
-        np.testing.assert_allclose(
-            kronecker(a, b) @ kronecker(c, d), kronecker(a @ c, b @ d), atol=1e-12
-        )
-
-
 class TestUnfoldFold:
     def test_degenerate_dims(self):
         np.testing.assert_array_equal(unfold(np.array([[[5.0]]]), 1), [[5.0]])
@@ -107,6 +91,15 @@ class TestUnfoldFold:
         x = np.random.default_rng(41).standard_normal((3, 4, 5))
         assert np.array_equal(fold(unfold(x, mode), mode, x.shape), x)
 
+    @given(hnp.arrays(
+        np.float64, hnp.array_shapes(min_dims=3, max_dims=3, max_side=6),
+        elements=st.floats(allow_nan=False),
+    ), st.sampled_from([1, 2, 3]))
+    def test_roundtrip_property(self, x, mode):
+        m = unfold(x, mode)
+        assert m.shape == (x.shape[mode - 1], x.size // x.shape[mode - 1])
+        assert np.array_equal(fold(m, mode, x.shape), x)
+
     def test_kronecker_factor_identity(self):
         # unfold(G x1 U1 x2 U2 x3 U3, n) = U_n @ unfold(G, n) @ kron(...)^T
         rng = np.random.default_rng(5)
@@ -120,7 +113,7 @@ class TestUnfoldFold:
         for mode, (a, b) in pairs.items():
             np.testing.assert_allclose(
                 unfold(x, mode),
-                us[mode] @ unfold(g, mode) @ kronecker(a, b).T,
+                us[mode] @ unfold(g, mode) @ np.kron(a, b).T,
                 atol=1e-12,
             )
 
