@@ -22,7 +22,7 @@ def hard_threshold_l0(x, t):
     """
     t = _check_weight(t)
     x = np.asarray(x, dtype=float)
-    return np.where(x * x <= 2.0 * t, 0.0, x)
+    return x * (x * x > 2.0 * t)
 
 
 def group_hard_threshold_l20(m, t):

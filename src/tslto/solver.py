@@ -8,6 +8,10 @@ step), the low-rank surrogate L, the auxiliary blocks Y1-Y3 and Z (group /
 elementwise hard thresholds), and finally the Lagrange multipliers.  The
 penalty weights alpha, gamma and s grow by a fixed factor each iteration up
 to a cap.
+
+Every tensor-sized block (X, L, R, P, Z, W) is kept column-major, the layout
+of `tucker_reconstruct`'s output, so that the mode-1 unfolding and folding
+are views and no elementwise update mixes memory layouts.
 """
 
 from dataclasses import dataclass, field, replace
@@ -22,6 +26,7 @@ from .stiefel import (
 )
 from .tensor_ops import (
     fold,
+    frobenius_inner,
     frobenius_norm,
     l0_count,
     l20_count,
@@ -106,7 +111,7 @@ class SolverState:
             frobenius_norm(y - toeplitz_diff(u))
             for y, u in zip((self.y1, self.y2, self.y3), self.factors)
         )
-        res_z = frobenius_norm(self.z - block_diff(unfold(self.r, 1)))
+        res_z = frobenius_norm(self.z - double_diff(self))
         res_xlr = frobenius_norm(self.x - self.l - self.r)
         return res_y, res_z, res_xlr
 
@@ -133,6 +138,22 @@ def block_diff_adjoint(m):
     return toeplitz_diff_adjoint(toeplitz_diff_adjoint(m).T).T
 
 
+def double_diff(state):
+    """D R = block_diff(unfold(state.r, 1)), computed once per anomaly tensor.
+
+    The result is kept on the state, together with the array it belongs to,
+    as the plain attribute ``_double_diff``, so any object with an ``r``
+    attribute works.  It is recomputed whenever ``state.r`` is another array;
+    the solver never writes into R in place.  :func:`update_R` leaves
+    D R + D delta there for the tensor it returns.
+    """
+    memo = getattr(state, "_double_diff", None)
+    if memo is None or memo[0] is not state.r:
+        memo = (state.r, block_diff(unfold(state.r, 1)))
+        state._double_diff = memo
+    return memo[1]
+
+
 def hosvd_factors(x, ranks):
     """Leading left singular vectors of each mode unfolding."""
     factors = []
@@ -143,10 +164,13 @@ def hosvd_factors(x, ranks):
 
 
 def init_state(y, mask, cfg):
-    """Zero-filled observed start with HOSVD factors and zero multipliers."""
+    """Zero-filled observed start with HOSVD factors and zero multipliers.
+
+    Every tensor-sized block is allocated column-major.
+    """
     cfg.validate()
-    y = np.asarray(y, dtype=float)
-    mask = np.asarray(mask, dtype=bool)
+    y = np.asfortranarray(y, dtype=float)
+    mask = np.asfortranarray(mask, dtype=bool)
     dims = y.shape
     if any(r > d for r, d in zip(cfg.ranks, dims)):
         raise ValueError(f"ranks {cfg.ranks} exceed tensor dims {dims}")
@@ -156,11 +180,9 @@ def init_state(y, mask, cfg):
     bad = int(np.count_nonzero(~np.isfinite(x0)))
     if bad:
         raise ValueError(f"{bad} observed entries are not finite")
-    l0 = x0.copy()
-    r0 = np.zeros(dims)
+    l0 = np.copy(x0)
+    r0 = np.zeros(dims, order="F")
     u1, u2, u3 = hosvd_factors(l0, cfg.ranks)
-    # z and w take block_diff's (column-major) layout, so that Z - D R and
-    # the multiplier update never mix memory layouts
     zshape = (dims[0] - 1, dims[1] * dims[2] - 1)
     return SolverState(
         x=x0,
@@ -178,7 +200,7 @@ def init_state(y, mask, cfg):
         v2=np.zeros((dims[1] - 1, cfg.ranks[1])),
         v3=np.zeros((dims[2] - 1, cfg.ranks[2])),
         w=np.zeros(zshape, order="F"),
-        p=np.zeros(dims),
+        p=np.zeros(dims, order="F"),
         alpha=np.asarray(cfg.alpha, dtype=float),
         gamma=float(cfg.gamma),
         s=float(cfg.s),
@@ -187,7 +209,10 @@ def init_state(y, mask, cfg):
 
 
 def update_X(state, y, mask):
-    """X = Y on the mask, L + R - P/s elsewhere."""
+    """X = Y on the mask, L + R - P/s elsewhere.
+
+    The result is column-major when y and mask are (see :func:`solve`).
+    """
     free = state.l + state.r - state.p / state.s
     return np.where(mask, y, free)
 
@@ -214,18 +239,19 @@ def update_U(state, cfg):
         m = factor_coefficient(state.g, us[0], us[1], us[2], mode)
         l_unf = unfold(state.l, mode)
         c = cfg.beta * (l_unf @ m.T)
-        const = 0.5 * cfg.beta * (
-            float(np.vdot(l_unf, l_unf)) + float(np.vdot(m, m))
-        )
         y, v, alpha = ys[i], vs[i], state.alpha[i]
 
-        def evaluate(u, c=c, const=const, y=y, v=v, alpha=alpha):
+        # the search never evaluates f when given `lipschitz`, so the
+        # constant (beta/2) (||L_[i]||^2 + ||M||^2) is formed only on a call
+        def evaluate(u, c=c, m=m, l_unf=l_unf, y=y, v=v, alpha=alpha):
             res = y - toeplitz_diff(u)
             return (
-                const
-                - float(np.vdot(u, c))
-                + float(np.vdot(res, v))
-                + 0.5 * alpha * float(np.vdot(res, res))
+                0.5 * cfg.beta * (
+                    frobenius_inner(l_unf, l_unf) + frobenius_inner(m, m)
+                )
+                - frobenius_inner(u, c)
+                + frobenius_inner(res, v)
+                + 0.5 * alpha * frobenius_inner(res, res)
             )
 
         def gradient(u, c=c, y=y, v=v, alpha=alpha):
@@ -240,45 +266,61 @@ def update_U(state, cfg):
     return tuple(us)
 
 
-def _r_smooth(r, state, gradient=False):
-    """Smooth part of the R subproblem, or (value, gradient).
+def _r_smooth(state):
+    """Value and gradient of the smooth part of the R subproblem at state.r.
 
     The completed square (gamma/2) ||Z + W/gamma - D R||^2
     + (s/2) ||X - L + P/s - R||^2 differs from the augmented-Lagrangian
     terms <Z - D R, W> + (gamma/2) ||Z - D R||^2 + <X - L - R, P>
     + (s/2) ||X - L - R||^2 only by a constant in R.
     """
-    res_z = state.z + state.w / state.gamma - block_diff(unfold(r, 1))
-    res_xlr = state.x - state.l + state.p / state.s - r
+    res_z = state.w / state.gamma
+    res_z += state.z
+    res_z -= double_diff(state)
+    res_xlr = state.x - state.l
+    res_xlr += state.p / state.s
+    res_xlr -= state.r
     value = 0.5 * (
-        state.gamma * float(np.vdot(res_z, res_z))
-        + state.s * float(np.vdot(res_xlr, res_xlr))
+        state.gamma * frobenius_inner(res_z, res_z)
+        + state.s * frobenius_inner(res_xlr, res_xlr)
     )
-    if not gradient:
-        return value
-    grad = fold(block_diff_adjoint(res_z), 1, r.shape)
+    grad = fold(block_diff_adjoint(res_z), 1, state.r.shape)
+    del res_z
     grad *= -state.gamma
-    grad -= state.s * res_xlr
+    res_xlr *= state.s
+    grad -= res_xlr
     return value, grad
 
 
 def update_R(state, cfg, max_halvings=50):
     """One backtracking proximal-gradient step on the anomaly tensor.
 
-    Returns the new tensor and the accepted step, which warm-starts the next
-    outer iteration's line search.
+    The smooth part f is quadratic, so a trial step delta is tested through
+    f(R + delta) = f(R) + <grad f(R), delta>
+    + (gamma ||D delta||^2 + s ||delta||^2) / 2, one double difference per
+    trial.  The accepted step also gives D R+ = D R + D delta, which is left
+    for :func:`double_diff`.  Returns the new tensor and the accepted step,
+    which warm-starts the next outer iteration's line search.
     """
     r = state.r
-    f0, grad = _r_smooth(r, state, gradient=True)
+    f0, grad = _r_smooth(state)
     lam = state.prox_lam
     for _ in range(max_halvings):
         candidate = hard_threshold_l0(r - lam * grad, lam * cfg.mu1)
         delta = candidate - r
-        quad = f0 + float(np.vdot(grad, delta)) + float(np.vdot(delta, delta)) / (
-            2.0 * lam
+        d_delta = block_diff(unfold(delta, 1))
+        linear = f0 + frobenius_inner(grad, delta)
+        sq = frobenius_inner(delta, delta)
+        quad = linear + sq / (2.0 * lam)
+        value = linear + 0.5 * (
+            state.gamma * frobenius_inner(d_delta, d_delta) + state.s * sq
         )
-        if _r_smooth(candidate, state) <= quad + 1e-12 * (1.0 + abs(quad)):
+        if value <= quad + 1e-12 * (1.0 + abs(quad)):
+            d_delta += double_diff(state)
+            state._double_diff = (candidate, d_delta)
             return candidate, lam
+        # freed before the next trial builds its own (peak memory)
+        del candidate, delta, d_delta
         lam *= cfg.prox_rho
     raise SolverDivergenceError(
         "proximal line search for the anomaly block exhausted "
@@ -311,7 +353,7 @@ def update_Y(state, cfg):
 
 def update_Z(state, cfg):
     """Elementwise hard threshold on the doubly-differenced anomaly block."""
-    target = block_diff(unfold(state.r, 1)) - state.w / state.gamma
+    target = double_diff(state) - state.w / state.gamma
     return hard_threshold_l0(target, cfg.mu2 / state.gamma)
 
 
@@ -319,7 +361,7 @@ def update_multipliers(state):
     v1 = state.v1 + state.alpha[0] * (state.y1 - toeplitz_diff(state.u1))
     v2 = state.v2 + state.alpha[1] * (state.y2 - toeplitz_diff(state.u2))
     v3 = state.v3 + state.alpha[2] * (state.y3 - toeplitz_diff(state.u3))
-    w = state.w + state.gamma * (state.z - block_diff(unfold(state.r, 1)))
+    w = state.w + state.gamma * (state.z - double_diff(state))
     p = state.p + state.s * (state.x - state.l - state.r)
     return v1, v2, v3, w, p
 
@@ -359,9 +401,10 @@ def solve(y, mask, cfg, trace_every=0):
     trace_every > 0 records a diagnostics row on the first and last
     iterations and every that many in between (iteration, objective, the
     three feasibility residuals, and the four relative block changes).
+    y and mask are copied to column-major order unless they already are.
     """
-    y = np.asarray(y, dtype=float)
-    mask = np.asarray(mask, dtype=bool)
+    y = np.asfortranarray(y, dtype=float)
+    mask = np.asfortranarray(mask, dtype=bool)
     state = init_state(y, mask, cfg)
     obj_trace = []
     trace = []

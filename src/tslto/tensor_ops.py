@@ -96,15 +96,35 @@ def toeplitz_diff(m):
 def toeplitz_diff_adjoint(m):
     """Adjoint (transpose) of :func:`toeplitz_diff`: maps (n-1) x c to n x c."""
     m = np.asarray(m)
-    out = np.zeros((m.shape[0] + 1, m.shape[1]), dtype=np.result_type(m, float))
-    out[:-1] += m
-    out[1:] -= m
+    out = np.empty(
+        (m.shape[0] + 1, m.shape[1]),
+        dtype=np.result_type(m, float),
+        order="F" if np.isfortran(m) else "C",
+    )
+    # out[-1] = -m[-1], not np.negative(m[-1], out=out[-1]): numpy 2.4.6 writes
+    # wrong values through the latter when both rows are strided views of
+    # column-major arrays (seen with 8-row inputs)
+    out[0] = m[0]
+    out[1:-1] = m[1:] - m[:-1]
+    out[-1] = -m[-1]
     return out
 
 
 def frobenius_norm(x):
     """Frobenius norm of a tensor or matrix."""
-    return float(np.linalg.norm(np.asarray(x).ravel()))
+    return float(np.linalg.norm(np.asarray(x).ravel(order="K")))
+
+
+def frobenius_inner(a, b):
+    """Frobenius inner product <a, b> of two real arrays of one shape.
+
+    Flattens column-major when both operands are column-major, so that
+    neither is copied (np.vdot copies any array that is not row-major).
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    order = "F" if a.flags.f_contiguous and b.flags.f_contiguous else "C"
+    return float(np.dot(a.ravel(order=order), b.ravel(order=order)))
 
 
 def l0_count(x):

@@ -2,18 +2,21 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 from hypothesis.extra import numpy as hnp
 
 from tslto import (
     SolverConfig,
+    SyntheticSpec,
     ablation_config,
     frobenius_norm,
+    generate,
     init_state,
     project_observed,
     solve,
     toeplitz_diff,
+    toeplitz_diff_adjoint,
     tucker_reconstruct,
     unfold,
 )
@@ -22,6 +25,7 @@ from tslto.solver import (
     block_diff,
     block_diff_adjoint,
     check_convergence,
+    double_diff,
     hosvd_factors,
     update_G,
     update_L,
@@ -70,10 +74,15 @@ def _two_slice_block_diff(m):
     return d[:, :-1] - d[:, 1:]
 
 
-def _two_slice_block_diff_adjoint(m):
+def _two_slice_toeplitz_diff_adjoint(m):
     rows = np.zeros((m.shape[0] + 1, m.shape[1]))
     rows[:-1] += m
     rows[1:] -= m
+    return rows
+
+
+def _two_slice_block_diff_adjoint(m):
+    rows = _two_slice_toeplitz_diff_adjoint(m)
     out = np.zeros((rows.shape[0], rows.shape[1] + 1))
     out[:, :-1] += rows
     out[:, 1:] -= rows
@@ -81,11 +90,28 @@ def _two_slice_block_diff_adjoint(m):
 
 
 def _matrices(min_side):
-    return hnp.arrays(
+    """Row-major or column-major float matrices, min_side to 9 per side."""
+    arrays = hnp.arrays(
         np.float64,
         hnp.array_shapes(min_dims=2, max_dims=2, min_side=min_side, max_side=9),
         elements=hst.floats(-1e6, 1e6),
     )
+    return hst.one_of(arrays, arrays.map(np.asfortranarray))
+
+
+# one row, and eight column-major rows (where numpy 2.4.6's np.negative with
+# out= a strided row gives wrong values)
+_ADJOINT_EXAMPLES = (
+    np.arange(1.0, 6.0).reshape(1, 5),
+    np.asfortranarray(np.arange(1.0, 6.0).reshape(1, 5)),
+    np.asfortranarray(np.arange(1.0, 25.0).reshape(8, 3)),
+)
+
+
+def _with_examples(test):
+    for m in _ADJOINT_EXAMPLES:
+        test = example(m)(test)
+    return test
 
 
 class TestBlockDiff:
@@ -111,10 +137,18 @@ class TestBlockDiff:
     def test_matches_two_slice_spelling(self, m):
         np.testing.assert_array_equal(block_diff(m), _two_slice_block_diff(m))
 
+    @_with_examples
     @given(_matrices(min_side=1))
     def test_adjoint_matches_two_slice_spelling(self, m):
         np.testing.assert_array_equal(
             block_diff_adjoint(m), _two_slice_block_diff_adjoint(m)
+        )
+
+    @_with_examples
+    @given(_matrices(min_side=1))
+    def test_toeplitz_adjoint_matches_two_slice_spelling(self, m):
+        np.testing.assert_array_equal(
+            toeplitz_diff_adjoint(m), _two_slice_toeplitz_diff_adjoint(m)
         )
 
 
@@ -145,6 +179,15 @@ def _four_term_value(r, state):
     )
 
 
+def _smooth_at(r, state):
+    state.r = r
+    return _r_smooth(state)
+
+
+def _value_at(r, state):
+    return _smooth_at(r, state)[0]
+
+
 _r_dims = hst.tuples(hst.integers(2, 5), hst.integers(2, 5), hst.integers(1, 5))
 
 
@@ -155,8 +198,9 @@ class TestRSmooth:
         state = _random_r_state(dims, seed)
         rng = np.random.default_rng(seed + 1)
         r1, r2 = 3.0 * rng.standard_normal((2, *dims))
-        gaps = [_r_smooth(r, state) - _four_term_value(r, state) for r in (r1, r2)]
-        scale = 1.0 + max(abs(_r_smooth(r, state)) for r in (r1, r2))
+        values = [_value_at(r, state) for r in (r1, r2)]
+        gaps = [v - _four_term_value(r, state) for v, r in zip(values, (r1, r2))]
+        scale = 1.0 + max(abs(v) for v in values)
         assert abs(gaps[0] - gaps[1]) <= 1e-10 * scale
 
     @settings(deadline=None)
@@ -165,14 +209,97 @@ class TestRSmooth:
         state = _random_r_state(dims, seed)
         rng = np.random.default_rng(seed + 1)
         r = rng.standard_normal(dims)
-        value, grad = _r_smooth(r, state, gradient=True)
-        assert value == _r_smooth(r, state)
+        _, grad = _smooth_at(r, state)
         assert grad.shape == dims
         h = 1e-3
         for _ in range(3):
             d = rng.standard_normal(dims)
-            fd = (_r_smooth(r + h * d, state) - _r_smooth(r - h * d, state)) / (2 * h)
+            fd = (_value_at(r + h * d, state) - _value_at(r - h * d, state)) / (2 * h)
             assert abs(fd - float(np.vdot(grad, d))) <= 1e-6 * (1.0 + abs(fd))
+
+    @settings(deadline=None)
+    @given(_r_dims, hst.integers(0, 2**32 - 1))
+    def test_quadratic_expansion(self, dims, seed):
+        # update_R tests a trial step through this expansion, not _r_smooth
+        state = _random_r_state(dims, seed)
+        rng = np.random.default_rng(seed + 1)
+        r, delta = rng.standard_normal((2, *dims))
+        f0, grad = _smooth_at(r, state)
+        d_delta = block_diff(unfold(delta, 1))
+        model = f0 + float(np.vdot(grad, delta)) + 0.5 * (
+            state.gamma * float(np.vdot(d_delta, d_delta))
+            + state.s * float(np.vdot(delta, delta))
+        )
+        exact = _value_at(r + delta, state)
+        assert abs(model - exact) <= 1e-10 * (1.0 + abs(exact))
+
+    @settings(deadline=None)
+    @given(_r_dims, hst.integers(0, 2**32 - 1))
+    def test_accepted_step_decreases_the_majorizer(self, dims, seed):
+        state = _random_r_state(dims, seed)
+        rng = np.random.default_rng(seed + 1)
+        state.r = rng.standard_normal(dims)
+        state.prox_lam = 10.0  # long enough to need halvings
+        f0, grad = _r_smooth(state)
+        r = state.r
+        out, lam = update_R(state, SolverConfig(mu1=0.1))
+        delta = out - r
+        quad = f0 + float(np.vdot(grad, delta)) + float(np.vdot(delta, delta)) / (
+            2.0 * lam
+        )
+        assert _value_at(out, state) <= quad + 1e-10 * (1.0 + abs(quad))
+        np.testing.assert_allclose(
+            double_diff(state), block_diff(unfold(out, 1)),
+            rtol=1e-10, atol=1e-10 * (1.0 + np.abs(out).max()),
+        )
+
+
+def _problem_state(dims=(6, 5, 4)):
+    y, _, _ = exact_tucker_tensor(26, dims=dims)
+    return init_state(y, np.ones(y.shape, bool), SolverConfig(ranks=(2, 2, 2)))
+
+
+class TestDoubleDiff:
+    @pytest.mark.parametrize("make_state", [
+        _problem_state,
+        lambda: SimpleNamespace(r=np.zeros((6, 5, 4))),
+    ])
+    def test_follows_replaced_r(self, make_state):
+        state = make_state()
+        rng = np.random.default_rng(27)
+        for _ in range(3):
+            first = double_diff(state)
+            np.testing.assert_array_equal(first, block_diff(unfold(state.r, 1)))
+            assert double_diff(state) is first
+            state.r = rng.standard_normal(state.r.shape)
+            np.testing.assert_array_equal(
+                double_diff(state), block_diff(unfold(state.r, 1))
+            )
+
+
+class TestLayout:
+    def test_tensor_blocks_stay_column_major(self):
+        # the criterion-6 instance, with y and mask column-major as solve()
+        # passes them on
+        inst = generate(SyntheticSpec(dims=(14, 12, 10), core_ranks=(2, 2, 2),
+                                      block_count=4, block_cols=10,
+                                      missing_rate=0.3, seed=3))
+        y = np.asfortranarray(project_observed(inst.full, inst.mask))
+        mask = np.asfortranarray(inst.mask)
+        cfg = SolverConfig(ranks=(2, 2, 2), max_outer=10, eps=1e-12)
+        state = init_state(y, mask, cfg)
+        state.iter = 1
+        state.x = update_X(state, y, mask)
+        state.g = update_G(state)
+        state.u1, state.u2, state.u3 = update_U(state, cfg)
+        state.r, state.prox_lam = update_R(state, cfg)
+        state.l = update_L(state, cfg)
+        state.y1, state.y2, state.y3 = update_Y(state, cfg)
+        state.z = update_Z(state, cfg)
+        (state.v1, state.v2, state.v3,
+         state.w, state.p) = update_multipliers(state)
+        for name in ("x", "l", "r", "p", "z", "w"):
+            assert getattr(state, name).flags.f_contiguous, name
 
 
 class TestInitState:

@@ -16,6 +16,7 @@ from tslto import (
     tucker_reconstruct,
     unfold,
 )
+from tslto.tensor_ops import frobenius_inner
 
 
 def naive_unfold(x, mode):
@@ -232,6 +233,19 @@ class TestNormsAndCounts:
     def test_l20_count(self):
         m = np.array([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0]])
         assert l20_count(m) == 1
+
+    @pytest.mark.parametrize("order_a", ["C", "F"])
+    @pytest.mark.parametrize("order_b", ["C", "F"])
+    @pytest.mark.parametrize("shape", [(7, 5), (4, 3, 6)])
+    def test_inner_matches_vdot(self, shape, order_a, order_b):
+        rng = np.random.default_rng(8)
+        a = np.asarray(rng.standard_normal(shape), order=order_a)
+        b = np.asarray(rng.standard_normal(shape), order=order_b)
+        expected = float(np.vdot(a, b))
+        scale = frobenius_norm(a) * frobenius_norm(b)
+        assert abs(frobenius_inner(a, b) - expected) <= 1e-14 * scale
+        assert frobenius_inner(a, a) == pytest.approx(frobenius_norm(a) ** 2,
+                                                     rel=1e-14)
 
     def test_l0_count(self):
         assert l0_count(np.array([0.0, 1.0, -2.0, 0.0])) == 2
