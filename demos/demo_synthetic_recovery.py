@@ -2,8 +2,8 @@
 it with block anomalies, and recover both components with the ADMM solver.
 
 This is the headline experiment with a reduced iteration budget so it
-finishes in under a minute; raise `MAX_OUTER` to 2500 for the full-quality
-run (a couple of minutes, F1 around 0.9).
+finishes in about 10-15 s on 2 cores; raise `MAX_OUTER` to 2500 for the
+full-quality run (about 20-30 s, F1 around 0.9).
 
 Run:  python3 demos/demo_synthetic_recovery.py
 """
@@ -40,8 +40,8 @@ cfg = SolverConfig(ranks=(3, 3, 3), max_outer=MAX_OUTER)
 print(f"solving ({MAX_OUTER} outer iterations max) ...")
 result = solve(y, inst.mask, cfg, trace_every=100)
 for row in result.trace:
-    print(f"  iter {row[0]:4d}  objective {row[1]:12.2f}  "
-          f"|X-L-R| residual {row[4]:.2e}")
+    print(f"  iter {row.iter:4d}  objective {row.objective:12.2f}  "
+          f"|X-L-R| residual {row.res_xlr:.2e}")
 
 imp = imputation_metrics(inst.lowrank, result.l, scope="missing",
                          mask=inst.mask)

@@ -26,9 +26,8 @@ from .preprocess import (
     select_rank,
     tucker_smooth,
 )
-from .solver import SolverConfig, ablation_config, solve
-
-ABLATION_VARIANTS = ("a", "b", "c", "d", "e", "f", "g", "full")
+from .solver import (ABLATION_VARIANTS, SolverConfig, TraceRow,
+                     ablation_config, solve)
 
 
 class UsageError(Exception):
@@ -172,12 +171,8 @@ def _run_solve(values, y, mask, outdir=None):
         tio.write_tsr3(os.path.join(outdir, "r.tsr3"), result.r)
         with open(os.path.join(outdir, "trace.csv"), "w", newline="") as f:
             w = csv.writer(f)
-            w.writerow(
-                ["iter", "objective", "res_y", "res_z", "res_xlr",
-                 "rel_x", "rel_g", "rel_l", "rel_r"]
-            )
-            for row in result.trace:
-                w.writerow([repr(v) if isinstance(v, float) else v for v in row])
+            w.writerow(TraceRow._fields)
+            w.writerows(result.trace)
     return result
 
 

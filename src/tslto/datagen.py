@@ -134,19 +134,16 @@ def sparsity_report(instance):
     fraction.
 
     Factor sparsity is measured on the HOSVD factors of the low-rank part,
-    via the number of nonzero rows of their consecutive-row differences
-    (thresholded at 1e-10 to absorb roundoff).
+    truncated at each unfolding's numerical rank, via the number of nonzero
+    rows of their consecutive-row differences (thresholded at 1e-10 to absorb
+    roundoff).
     """
-    from .solver import hosvd_factors
-
-    x = instance.lowrank
-    ranks = []
-    for mode in (1, 2, 3):
-        sv = np.linalg.svd(unfold(x, mode), compute_uv=False)
-        ranks.append(max(1, int(np.sum(sv > 1e-8 * sv[0]))))
     factor_rows = []
-    for u in hosvd_factors(x, ranks):
-        d = toeplitz_diff(u)
+    for mode in (1, 2, 3):
+        u, sv, _ = np.linalg.svd(unfold(instance.lowrank, mode),
+                                 full_matrices=False)
+        rank = max(1, int(np.sum(sv > 1e-8 * sv[0])))
+        d = toeplitz_diff(u[:, :rank])
         d = np.where(np.abs(d) <= 1e-10, 0.0, d)
         factor_rows.append(l20_count(d))
     return {

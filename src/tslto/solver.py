@@ -1,19 +1,20 @@
 """ADMM driver for the sparse low-rank tensor recovery model.
 
-One outer iteration updates, in order: the completed tensor X, the Tucker
-core G, the three factors U1-U3 (Gauss-Seidel, each by majorize-minimize
-polar steps on the Stiefel manifold, a departure from the paper's manifold
-search), the anomaly tensor R (one backtracking proximal-gradient
-step), the low-rank surrogate L, the auxiliary blocks Y1-Y3 and Z (group /
-elementwise hard thresholds), and finally the Lagrange multipliers.  The
-penalty weights alpha, gamma and s grow by a fixed factor each iteration up
-to a cap.
+One outer iteration (`admm_iteration`) updates, in order: the completed
+tensor X, the Tucker core G, the three factors U1-U3 (Gauss-Seidel, each by
+majorize-minimize polar steps on the Stiefel manifold, a departure from the
+paper's manifold search), the anomaly tensor R (one backtracking
+proximal-gradient step), the low-rank surrogate L, the auxiliary blocks
+Y1-Y3 and Z (group / elementwise hard thresholds), and finally the Lagrange
+multipliers.  The penalty weights alpha, gamma and s grow by a fixed factor
+each iteration up to a cap.
 
 Every tensor-sized block (X, L, R, P, Z, W) is kept column-major, the layout
 of `tucker_reconstruct`'s output, so that the mode-1 unfolding and folding
 are views and no elementwise update mixes memory layouts.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -116,6 +117,13 @@ class SolverState:
         return res_y, res_z, res_xlr
 
 
+# One diagnostics row of :func:`solve`: the iteration, the model objective,
+# the three feasibility residuals and the relative changes of X, G, L and R.
+TraceRow = namedtuple(
+    "TraceRow", "iter objective res_y res_z res_xlr rel_x rel_g rel_l rel_r"
+)
+
+
 @dataclass
 class SolveResult:
     x: np.ndarray
@@ -123,7 +131,7 @@ class SolveResult:
     r: np.ndarray
     iterations: int
     residuals: tuple
-    objective_trace: list
+    objective: float
     trace: list = field(default_factory=list)
     converged: bool = False
 
@@ -172,6 +180,8 @@ def init_state(y, mask, cfg):
     y = np.asfortranarray(y, dtype=float)
     mask = np.asfortranarray(mask, dtype=bool)
     dims = y.shape
+    if min(dims) < 2:
+        raise ValueError(f"every mode needs at least 2 entries, got dims {dims}")
     if any(r > d for r, d in zip(cfg.ranks, dims)):
         raise ValueError(f"ranks {cfg.ranks} exceed tensor dims {dims}")
     if not mask.any():
@@ -395,47 +405,47 @@ def model_objective(state, cfg):
     )
 
 
+def admm_iteration(state, y, mask, cfg):
+    """One outer iteration: the eight block updates, in order, on state."""
+    state.x = update_X(state, y, mask)
+    state.g = update_G(state)
+    state.u1, state.u2, state.u3 = update_U(state, cfg)
+    state.r, state.prox_lam = update_R(state, cfg)
+    state.l = update_L(state, cfg)
+    state.y1, state.y2, state.y3 = update_Y(state, cfg)
+    state.z = update_Z(state, cfg)
+    state.v1, state.v2, state.v3, state.w, state.p = update_multipliers(state)
+
+
 def solve(y, mask, cfg, trace_every=0):
     """Run the full ADMM loop; returns recovered X, low-rank L, anomaly R.
 
-    trace_every > 0 records a diagnostics row on the first and last
-    iterations and every that many in between (iteration, objective, the
-    three feasibility residuals, and the four relative block changes).
+    trace_every > 0 records a :class:`TraceRow` on the first and last
+    iterations and every that many in between.
     y and mask are copied to column-major order unless they already are.
     """
     y = np.asfortranarray(y, dtype=float)
     mask = np.asfortranarray(mask, dtype=bool)
     state = init_state(y, mask, cfg)
-    obj_trace = []
     trace = []
     converged = False
     for k in range(1, cfg.max_outer + 1):
         state.iter = k
         prev_blocks = (state.x, state.g, state.l, state.r)
-
-        state.x = update_X(state, y, mask)
-        state.g = update_G(state)
-        state.u1, state.u2, state.u3 = update_U(state, cfg)
-        state.r, state.prox_lam = update_R(state, cfg)
-        state.l = update_L(state, cfg)
-        state.y1, state.y2, state.y3 = update_Y(state, cfg)
-        state.z = update_Z(state, cfg)
-        state.v1, state.v2, state.v3, state.w, state.p = update_multipliers(state)
-
+        admm_iteration(state, y, mask, cfg)
         cur_blocks = (state.x, state.g, state.l, state.r)
         if not all(np.all(np.isfinite(b)) for b in cur_blocks):
             raise SolverDivergenceError(
                 f"non-finite state at outer iteration {k}"
             )
-        objective = model_objective(state, cfg)
-        obj_trace.append(objective)
         converged = k > 1 and check_convergence(prev_blocks, cur_blocks, cfg.eps)
         last = converged or k == cfg.max_outer
         if trace_every and (k % trace_every == 0 or k == 1 or last):
             rel_changes = (
                 _relative_change(p, c) for p, c in zip(prev_blocks, cur_blocks)
             )
-            trace.append((k, objective, *state.residuals(), *rel_changes))
+            trace.append(TraceRow(k, model_objective(state, cfg),
+                                  *state.residuals(), *rel_changes))
         if converged:
             break
 
@@ -449,29 +459,25 @@ def solve(y, mask, cfg, trace_every=0):
         r=state.r,
         iterations=state.iter,
         residuals=state.residuals(),
-        objective_trace=obj_trace,
+        objective=model_objective(state, cfg),
         trace=trace,
         converged=converged,
     )
 
 
-def ablation_config(cfg, variant):
-    """Config with regularizer weights zeroed per the named ablation variant.
+# Ablation variants in the order `tslto ablate` runs them, each with the
+# weights it zeroes: lam (factor row sparsity), mu1 (anomaly sparsity) and
+# mu2 (block-continuity sparsity).
+ABLATION_VARIANTS = {
+    "a": ("lam",), "b": ("mu1",), "c": ("mu2",), "d": ("lam", "mu1"),
+    "e": ("lam", "mu2"), "f": ("mu1", "mu2"), "g": ("lam", "mu1", "mu2"),
+    "full": (),
+}
 
-    a: no row-sparsity terms (lam); b: no anomaly sparsity (mu1); c: no
-    block-continuity sparsity (mu2); d: a+b; e: a+c; f: b+c; g: all three;
-    full: unchanged.
-    """
-    zero_lam = variant in ("a", "d", "e", "g")
-    zero_mu1 = variant in ("b", "d", "f", "g")
-    zero_mu2 = variant in ("c", "e", "f", "g")
-    if variant == "full":
-        return replace(cfg)
-    if not (zero_lam or zero_mu1 or zero_mu2):
+
+def ablation_config(cfg, variant):
+    """Copy of cfg with the weights of the named ablation variant zeroed."""
+    if variant not in ABLATION_VARIANTS:
         raise ValueError(f"unknown ablation variant {variant!r}")
-    return replace(
-        cfg,
-        lam=(0.0, 0.0, 0.0) if zero_lam else cfg.lam,
-        mu1=0.0 if zero_mu1 else cfg.mu1,
-        mu2=0.0 if zero_mu2 else cfg.mu2,
-    )
+    zero = {"lam": (0.0, 0.0, 0.0), "mu1": 0.0, "mu2": 0.0}
+    return replace(cfg, **{w: zero[w] for w in ABLATION_VARIANTS[variant]})

@@ -89,6 +89,15 @@ class TestSolve:
                    "--out", str(tmp_path / "out")])
         assert rc == 2
 
+    def test_mode_of_size_one_is_runtime_error(self, tmp_path, capsys):
+        write_tsr3(tmp_path / "y.tsr3", np.ones((6, 1, 5)))
+        write_mask(tmp_path / "mask.tsr3", np.ones((6, 1, 5), bool))
+        rc = main(["solve", "--input", str(tmp_path / "y.tsr3"),
+                   "--mask", str(tmp_path / "mask.tsr3"),
+                   "--out", str(tmp_path / "out"), "--ranks", "1,1,1"])
+        assert rc == 2
+        assert "dims (6, 1, 5)" in capsys.readouterr().err
+
 
 class TestEvaluate:
     def test_perfect_estimate_zero_row(self, tmp_path):

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from hypothesis.extra import numpy as hnp
 
 from tslto import group_hard_threshold_l20, hard_threshold_l0
+
+MATRICES = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+    elements=hst.floats(-1e3, 1e3),
+)
+WEIGHTS = hst.floats(0.0, 1e6)
 
 
 def brute_force_l0(x, t):
@@ -106,3 +116,40 @@ class TestGroupHardThresholdL20:
     def test_negative_weight_raises(self):
         with pytest.raises(ValueError):
             group_hard_threshold_l20(np.zeros((2, 2)), -0.5)
+
+
+def l0_cost(z, x, t):
+    """Entrywise t * [z != 0] + 0.5 * (z - x)**2."""
+    return t * (z != 0) + 0.5 * (z - x) ** 2
+
+
+def l20_cost(z, m, t):
+    """Row-wise t * [row != 0] + 0.5 * ||row - m_row||**2."""
+    return t * np.any(z != 0, axis=1) + 0.5 * np.sum((z - m) ** 2, axis=1)
+
+
+class TestProxOptimality:
+    """Each prox output costs no more than either candidate, zero or keep."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=MATRICES, t=WEIGHTS, tie=hst.booleans(), data=hst.data())
+    def test_l0_no_worse_than_zero_or_keep(self, x, t, tie, data):
+        if tie:  # x**2 == 2t exactly at one entry
+            i = data.draw(hst.integers(0, x.size - 1))
+            t = x.flat[i] * x.flat[i] / 2
+        cost = l0_cost(hard_threshold_l0(x, t), x, t)
+        assert np.all(cost <= l0_cost(np.zeros_like(x), x, t))
+        assert np.all(cost <= l0_cost(x, x, t))
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=MATRICES, t=WEIGHTS, tie=hst.booleans(), data=hst.data())
+    def test_l20_no_worse_than_zero_or_keep(self, m, t, tie, data):
+        if tie:  # ||row||**2 == 2t at one row, up to summation order
+            i = data.draw(hst.integers(0, m.shape[0] - 1))
+            t = np.sum(m[i] ** 2) / 2
+        cost = l20_cost(group_hard_threshold_l20(m, t), m, t)
+        # the operator and this check may sum a row's squares in different
+        # orders, so a tie can round either way by a few ulps
+        slack = 1 + 1e-12
+        assert np.all(cost <= l20_cost(np.zeros_like(m), m, t) * slack)
+        assert np.all(cost <= l20_cost(m, m, t) * slack)

@@ -21,7 +21,9 @@ from tslto import (
     unfold,
 )
 from tslto.solver import (
+    TraceRow,
     _r_smooth,
+    admm_iteration,
     block_diff,
     block_diff_adjoint,
     check_convergence,
@@ -289,15 +291,7 @@ class TestLayout:
         cfg = SolverConfig(ranks=(2, 2, 2), max_outer=10, eps=1e-12)
         state = init_state(y, mask, cfg)
         state.iter = 1
-        state.x = update_X(state, y, mask)
-        state.g = update_G(state)
-        state.u1, state.u2, state.u3 = update_U(state, cfg)
-        state.r, state.prox_lam = update_R(state, cfg)
-        state.l = update_L(state, cfg)
-        state.y1, state.y2, state.y3 = update_Y(state, cfg)
-        state.z = update_Z(state, cfg)
-        (state.v1, state.v2, state.v3,
-         state.w, state.p) = update_multipliers(state)
+        admm_iteration(state, y, mask, cfg)
         for name in ("x", "l", "r", "p", "z", "w"):
             assert getattr(state, name).flags.f_contiguous, name
 
@@ -327,6 +321,13 @@ class TestInitState:
         y = np.ones((4, 4, 4))
         with pytest.raises(ValueError):
             init_state(y, np.zeros(y.shape, bool), SolverConfig(ranks=(2, 2, 2)))
+
+    @pytest.mark.parametrize("dims", [(6, 1, 5), (1, 4, 4), (4, 4, 1)])
+    def test_mode_of_size_one_raises(self, dims):
+        with pytest.raises(ValueError) as exc:
+            init_state(np.ones(dims), np.ones(dims, bool),
+                       SolverConfig(ranks=(1, 1, 1)))
+        assert str(dims) in str(exc.value)
 
     def test_non_finite_observed_entries_raise(self):
         y = np.ones((4, 4, 4))
@@ -607,16 +608,20 @@ class TestSolve:
 
     def test_trace_rows(self):
         y, _, _ = exact_tucker_tensor(24, dims=(8, 8, 8))
-        for max_outer in (25, 20):  # 20 is a multiple of trace_every
+        # 20 is a multiple of trace_every; trace_every=1 traces every iteration
+        for max_outer, every in ((25, 10), (20, 10), (12, 1)):
             res = solve(y, np.ones(y.shape, bool),
                         SolverConfig(ranks=(2, 2, 2), max_outer=max_outer,
                                      eps=1e-12),
-                        trace_every=10)
-            iters = [row[0] for row in res.trace]
+                        trace_every=every)
+            iters = [row.iter for row in res.trace]
             n = res.iterations
-            assert iters == sorted({1, n, *range(10, n + 1, 10)})
-            assert len(res.objective_trace) == n
-            assert all(len(row) == 9 for row in res.trace)
+            assert iters == sorted({1, n, *range(every, n + 1, every)})
+            assert all(isinstance(row, TraceRow) and len(row) == 9
+                       for row in res.trace)
+            last = res.trace[-1]
+            assert res.objective == last.objective
+            assert res.residuals == (last.res_y, last.res_z, last.res_xlr)
 
 
 class TestAblationConfig:
