@@ -136,7 +136,9 @@ def sparsity_report(instance):
     Factor sparsity is measured on the HOSVD factors of the low-rank part,
     truncated at each unfolding's numerical rank, via the number of nonzero
     rows of their consecutive-row differences (thresholded at 1e-10 to absorb
-    roundoff).
+    roundoff).  Unlike the solver's HOSVD start, this keeps a thin SVD: its
+    rank cut sigma > 1e-8 * sigma_0 is lambda > 1e-16 * lambda_0 on the Gram
+    matrix, below what the Gram's eigenvalues resolve.
     """
     factor_rows = []
     for mode in (1, 2, 3):

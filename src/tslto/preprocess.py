@@ -1,13 +1,14 @@
 """Real-dataset preparation: rank selection from the mode unfoldings'
-singular spectra, Tucker smoothing to build a low-rank ground truth, and the
-invertible core-scaling transform applied before solving."""
+singular spectra (read from their Gram matrices), Tucker smoothing to build
+a low-rank ground truth, and the invertible core-scaling transform applied
+before solving."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from .solver import hosvd_factors
-from .tensor_ops import tucker_reconstruct, unfold
+from .tensor_ops import mode_gram, tucker_reconstruct
 
 
 @dataclass
@@ -22,7 +23,15 @@ class ScaleTransform:
 
 
 def select_rank(x, theta=0.95):
-    """Smallest per-mode rank capturing a theta share of squared singular mass."""
+    """Smallest per-mode rank capturing a theta share of squared singular mass.
+
+    The squared singular values of each unfolding are the eigenvalues of its
+    Gram matrix (:func:`tslto.tensor_ops.mode_gram`), clipped at 0 and sorted
+    descending.  The Gram resolves them only down to about machine epsilon
+    times the largest: beyond an exact rank the remaining share reads
+    1e-16 to 3e-15 for modes of 8 to 214 rows, so 1 - theta must stay well
+    above that (1 - 1e-12 does).
+    """
     if not 0 < theta <= 1:
         raise ValueError("theta must lie in (0, 1]")
     x = np.asarray(x, dtype=float)
@@ -30,8 +39,10 @@ def select_rank(x, theta=0.95):
         raise ValueError("rank selection is undefined for the zero tensor")
     ranks = []
     for mode in (1, 2, 3):
-        sv2 = np.linalg.svd(unfold(x, mode), compute_uv=False) ** 2
-        shares = np.cumsum(sv2) / np.sum(sv2)
+        sv2 = np.clip(np.linalg.eigvalsh(mode_gram(x, mode))[::-1], 0.0, None)
+        # divided by its own last entry, so that theta = 1 is always reached
+        shares = np.cumsum(sv2)
+        shares /= shares[-1]
         ranks.append(int(np.argmax(shares >= theta)) + 1)
     return tuple(ranks)
 
@@ -39,8 +50,6 @@ def select_rank(x, theta=0.95):
 def hosvd(x, ranks):
     """Truncated HOSVD: (core, [u1, u2, u3])."""
     x = np.asarray(x, dtype=float)
-    if any(r > d for r, d in zip(ranks, x.shape)):
-        raise ValueError(f"ranks {tuple(ranks)} exceed dims {x.shape}")
     u1, u2, u3 = factors = hosvd_factors(x, ranks)
     return tucker_reconstruct(x, u1.T, u2.T, u3.T), factors
 

@@ -65,6 +65,17 @@ def mode_n_product(x, a, mode):
     return fold(a @ unfold(x, mode), mode, dims)
 
 
+def mode_gram(x, mode):
+    """Gram matrix unfold(x, mode) @ unfold(x, mode).T, of size D_k x D_k.
+
+    Its eigenvalues are the squared singular values of the unfolding and its
+    eigenvectors the left singular vectors, resolved down to about machine
+    epsilon times the largest eigenvalue.
+    """
+    a = unfold(x, mode)
+    return a @ a.T
+
+
 def tucker_reconstruct(g, u1, u2, u3):
     """Reconstruct G x_1 U1 x_2 U2 x_3 U3 from a core tensor and factors."""
     out = mode_n_product(g, u1, 1)

@@ -10,6 +10,7 @@ from tslto import (
     select_rank,
     tucker_reconstruct,
     tucker_smooth,
+    unfold,
 )
 from tslto.preprocess import observation_mask_from_zeros
 
@@ -22,7 +23,28 @@ def exact_rank_tensor(seed, dims, ranks):
     return tucker_reconstruct(g, *us)
 
 
+def _svd_select_rank(x, theta):
+    """select_rank from the squared singular values of a thin SVD."""
+    ranks = []
+    for mode in (1, 2, 3):
+        sv2 = np.linalg.svd(unfold(x, mode), compute_uv=False) ** 2
+        shares = np.cumsum(sv2) / np.sum(sv2)
+        ranks.append(int(np.argmax(shares >= theta)) + 1)
+    return tuple(ranks)
+
+
 class TestSelectRank:
+    @pytest.mark.parametrize("seed, dims, ranks", [
+        (10, (10, 9, 8), (2, 3, 2)),
+        (11, (8, 8, 8), (3, 3, 3)),
+        (12, (12, 6, 9), (4, 2, 3)),
+        (13, (30, 20, 25), (5, 1, 5)),
+    ])
+    def test_matches_svd_reference(self, seed, dims, ranks):
+        x = exact_rank_tensor(seed, dims, ranks)
+        for theta in (1e-9, 0.5, 0.95, 1 - 1e-12):
+            assert select_rank(x, theta) == _svd_select_rank(x, theta), theta
+
     def test_exact_rank_recovery(self):
         # note r2 <= r1 * r3 must hold for a feasible multilinear rank
         x = exact_rank_tensor(0, (10, 9, 8), (2, 3, 2))

@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from tslto import (
     SolverConfig,
+    SolverState,
     SyntheticSpec,
     ablation_config,
     frobenius_norm,
@@ -29,6 +30,7 @@ from tslto.solver import (
     check_convergence,
     double_diff,
     hosvd_factors,
+    model_objective,
     update_G,
     update_L,
     update_R,
@@ -623,6 +625,55 @@ class TestSolve:
             assert res.objective == last.objective
             assert res.residuals == (last.res_y, last.res_z, last.res_xlr)
 
+    def test_final_state_evaluated_once(self, monkeypatch):
+        calls = {"objective": 0, "residuals": 0}
+        residuals = SolverState.residuals
+
+        def counting_objective(state, cfg):
+            calls["objective"] += 1
+            return model_objective(state, cfg)
+
+        def counting_residuals(state):
+            calls["residuals"] += 1
+            return residuals(state)
+
+        monkeypatch.setattr("tslto.solver.model_objective", counting_objective)
+        monkeypatch.setattr(SolverState, "residuals", counting_residuals)
+        y, _, _ = exact_tucker_tensor(24, dims=(8, 8, 8))
+        mask = np.ones(y.shape, bool)
+        cfg = SolverConfig(ranks=(2, 2, 2), max_outer=25, eps=1e-12)
+        res = solve(y, mask, cfg, trace_every=10)
+        assert res.iterations == 25 and len(res.trace) == 4
+        assert calls == {"objective": 4, "residuals": 4}
+        last = res.trace[-1]
+        assert res.objective == last.objective
+        assert res.residuals == (last.res_y, last.res_z, last.res_xlr)
+        # without trace rows the result evaluates the final state itself
+        calls.update(objective=0, residuals=0)
+        untraced = solve(y, mask, cfg)
+        assert calls == {"objective": 1, "residuals": 1}
+        assert untraced.objective == res.objective
+        assert untraced.residuals == res.residuals
+
+    def test_factor_signs_do_not_change_the_solve(self, monkeypatch):
+        inst = generate(SyntheticSpec(missing_rate=0.3, seed=1))
+        y = project_observed(inst.full, inst.mask)
+        cfg = SolverConfig(max_outer=30)
+        ref = solve(y, inst.mask, cfg)
+        # negate column 0 of U1, columns 1 and 2 of U2, every column of U3
+        signs = ((-1, 1, 1), (1, -1, -1), (-1, -1, -1))
+
+        def flipped(x, ranks):
+            return [u * np.asarray(sign, dtype=float)
+                    for u, sign in zip(hosvd_factors(x, ranks), signs)]
+
+        monkeypatch.setattr("tslto.solver.hosvd_factors", flipped)
+        res = solve(y, inst.mask, cfg)
+        for name in ("x", "l", "r"):
+            np.testing.assert_allclose(getattr(res, name), getattr(ref, name),
+                                       rtol=0, atol=1e-10, err_msg=name)
+        np.testing.assert_array_equal(res.r != 0, ref.r != 0)
+
 
 class TestAblationConfig:
     def test_variant_map(self):
@@ -651,8 +702,43 @@ class TestAblationConfig:
             ablation_config(SolverConfig(), "h")
 
 
+def _thin_svd_projectors(x, ranks):
+    """U U^T of the leading left singular vectors of each mode unfolding."""
+    out = []
+    for mode, r in zip((1, 2, 3), ranks):
+        u = np.linalg.svd(unfold(x, mode), full_matrices=False)[0][:, :r]
+        out.append(u @ u.T)
+    return out
+
+
+@hst.composite
+def _dims_and_ranks(draw):
+    dims = draw(hst.tuples(*[hst.integers(2, 8)] * 3))
+    ranks = draw(hst.tuples(*[hst.integers(1, min(dims))] * 3))
+    return dims, ranks
+
+
 class TestHosvdFactors:
     def test_orthonormal_columns(self):
         x = np.random.default_rng(25).standard_normal((6, 5, 4))
         for u in hosvd_factors(x, (3, 3, 3)):
             np.testing.assert_allclose(u.T @ u, np.eye(3), atol=1e-12)
+
+    # the shape of the Guangzhou traffic-speed tensor
+    @example(((214, 61, 144), (3, 61, 10)), "C", 0)
+    @settings(deadline=None)
+    @given(_dims_and_ranks(), hst.sampled_from("CF"), hst.integers(0, 2**32 - 1))
+    def test_projectors_match_thin_svd(self, dims_and_ranks, order, seed):
+        dims, ranks = dims_and_ranks
+        x = np.asarray(np.random.default_rng(seed).standard_normal(dims),
+                       order=order)
+        factors = hosvd_factors(x, ranks)
+        for u, ref, d, r in zip(factors, _thin_svd_projectors(x, ranks),
+                                dims, ranks):
+            assert u.shape == (d, r)
+            np.testing.assert_allclose(u @ u.T, ref, rtol=0, atol=1e-10)
+
+    def test_ranks_exceed_dims_names_both(self):
+        with pytest.raises(ValueError,
+                           match=r"ranks \(2, 5, 2\) exceed tensor dims \(4, 4, 4\)"):
+            hosvd_factors(np.ones((4, 4, 4)), [2, 5, 2])
