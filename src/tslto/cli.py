@@ -9,14 +9,13 @@ outputs.  Exit codes: 0 success, 1 usage error, 2 runtime error.
 import argparse
 import concurrent.futures
 import csv
+import functools
 import os
 import sys
-from dataclasses import fields
-
-import numpy as np
+from dataclasses import asdict, fields
 
 from . import io as tio
-from .datagen import SyntheticSpec, generate, sparsity_report
+from .datagen import SyntheticInstance, SyntheticSpec, generate, sparsity_report
 from .metrics import DetectionRule, detection_metrics, imputation_metrics
 from .preprocess import (
     ScaleTransform,
@@ -28,72 +27,62 @@ from .preprocess import (
 )
 from .solver import (ABLATION_VARIANTS, SolverConfig, TraceRow,
                      ablation_config, solve)
+from .tensor_ops import project_observed
 
 
 class UsageError(Exception):
     pass
 
 
-def _parse_triple(text, cast):
-    parts = [p for p in str(text).replace("(", "").replace(")", "").split(",") if p]
-    if len(parts) == 1:
-        parts = parts * 3
-    if len(parts) != 3:
-        raise UsageError(f"expected 1 or 3 comma-separated values, got {text!r}")
-    return tuple(cast(p) for p in parts)
+# All recognized config keys with their defaults.  `seed` is shared by
+# SolverConfig and SyntheticSpec.
+KEYS = {
+    **asdict(SolverConfig()),
+    **asdict(SyntheticSpec()),
+    "scope": "missing",
+    "detect_mode": "entry",
+    "detect_threshold": 0.0,
+    "theta": 0.95,
+    "shift": 20.0,
+    "core_scale": 0.14,
+    "scale_ranks": (2, 5, 6),
+    "trace_every": 10,
+}
 
 
-def _key_registry():
-    """All recognized config keys with their parsers and defaults."""
-    reg = {}
-    for f in fields(SolverConfig):
-        default = getattr(SolverConfig(), f.name)
-        if isinstance(default, tuple):
-            cast = int if f.name == "ranks" else float
-            reg[f.name] = (lambda v, c=cast: _parse_triple(v, c), default)
-        elif isinstance(default, int):
-            reg[f.name] = (int, default)
-        else:
-            reg[f.name] = (float, default)
-    spec = SyntheticSpec()
-    for f in fields(SyntheticSpec):
-        default = getattr(spec, f.name)
-        name = f.name if f.name != "seed" else None
-        if name is None:
-            continue  # shared with SolverConfig
-        if f.name in ("dims", "core_ranks"):
-            reg[f.name] = (lambda v: _parse_triple(v, int), default)
-        elif isinstance(default, int):
-            reg[f.name] = (int, default)
-        else:
-            reg[f.name] = (float, default)
-    reg["scope"] = (str, "missing")
-    reg["detect_mode"] = (str, "entry")
-    reg["detect_threshold"] = (float, 0.0)
-    reg["theta"] = (float, 0.95)
-    reg["shift"] = (float, 20.0)
-    reg["core_scale"] = (float, 0.14)
-    reg["scale_ranks"] = (lambda v: _parse_triple(v, int), (2, 5, 6))
-    reg["trace_every"] = (int, 10)
-    return reg
-
-
-KEYS = _key_registry()
+def parse_value(key, text):
+    """Parse a config value by the type of the key's default; a tuple key
+    takes 1 or 3 comma-separated values of its elements' type."""
+    default = KEYS[key]
+    try:
+        if not isinstance(default, tuple):
+            return type(default)(text)
+        parts = [p for p in str(text).replace("(", "").replace(")", "").split(",")
+                 if p]
+        if len(parts) == 1:
+            parts = parts * 3
+        if len(parts) != 3:
+            raise ValueError(
+                f"expected 1 or 3 comma-separated values, got {text!r}"
+            )
+        return tuple(type(default[0])(p) for p in parts)
+    except ValueError as exc:
+        raise UsageError(f"{key}: {exc}") from None
 
 
 def resolve_config(args):
     """Merge defaults, config-file values, and command-line overrides."""
-    values = {k: default for k, (_, default) in KEYS.items()}
+    values = dict(KEYS)
     path = getattr(args, "config", None)
     if path:
         for key, raw in tio.read_manifest(path).items():
             if key not in KEYS:
                 raise UsageError(f"unknown config key {key!r} in {path}")
-            values[key] = KEYS[key][0](raw)
+            values[key] = parse_value(key, raw)
     for key in KEYS:
         override = getattr(args, key, None)
         if override is not None:
-            values[key] = KEYS[key][0](override)
+            values[key] = parse_value(key, override)
     return values
 
 
@@ -133,18 +122,9 @@ def cmd_generate(args):
     spec = synthetic_spec_from(values)
     outdir = _ensure_outdir(args)
     inst = generate(spec)
-    names = {
-        "full": "full.tsr3",
-        "lowrank": "lowrank.tsr3",
-        "anomaly": "anomaly.tsr3",
-        "mask": "mask.tsr3",
-        "anomaly_truth": "anomaly_truth.tsr3",
-    }
-    tio.write_tsr3(os.path.join(outdir, names["full"]), inst.full)
-    tio.write_tsr3(os.path.join(outdir, names["lowrank"]), inst.lowrank)
-    tio.write_tsr3(os.path.join(outdir, names["anomaly"]), inst.anomaly)
-    tio.write_mask(os.path.join(outdir, names["mask"]), inst.mask)
-    tio.write_mask(os.path.join(outdir, names["anomaly_truth"]), inst.anomaly_truth)
+    names = {f.name: f"{f.name}.tsr3" for f in fields(SyntheticInstance)}
+    for name, file in names.items():
+        tio.write_tsr3(os.path.join(outdir, file), getattr(inst, name))
     report = sparsity_report(inst)
     d1, d2, d3 = spec.dims
     manifest = {f.name: _fmt(getattr(spec, f.name)) for f in fields(SyntheticSpec)}
@@ -160,28 +140,20 @@ def cmd_generate(args):
     return 0
 
 
-def _run_solve(values, y, mask, outdir=None):
-    cfg = solver_config_from(values)
-    # only `tslto solve` (with outdir) writes trace.csv; others skip the rows
-    trace_every = values["trace_every"] if outdir else 0
-    result = solve(y, mask, cfg, trace_every=trace_every)
-    if outdir:
-        tio.write_tsr3(os.path.join(outdir, "x.tsr3"), result.x)
-        tio.write_tsr3(os.path.join(outdir, "l.tsr3"), result.l)
-        tio.write_tsr3(os.path.join(outdir, "r.tsr3"), result.r)
-        with open(os.path.join(outdir, "trace.csv"), "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(TraceRow._fields)
-            w.writerows(result.trace)
-    return result
-
-
 def cmd_solve(args):
     values = resolve_config(args)
     y = tio.read_tsr3(args.input)
     mask = tio.read_mask(args.mask)
     outdir = _ensure_outdir(args)
-    _run_solve(values, y, mask, outdir)
+    # only `tslto solve` writes trace.csv, so only it asks for trace rows
+    result = solve(y, mask, solver_config_from(values),
+                   trace_every=values["trace_every"])
+    for name in ("x", "l", "r"):
+        tio.write_tsr3(os.path.join(outdir, f"{name}.tsr3"), getattr(result, name))
+    with open(os.path.join(outdir, "trace.csv"), "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(TraceRow._fields)
+        w.writerows(result.trace)
     _write_resolved(outdir, values)
     return 0
 
@@ -256,22 +228,23 @@ def cmd_preprocess(args):
     return 0
 
 
+def _read_scored_inputs(input, mask, truth, anomaly_truth):
+    """Observed tensor, mask, truth and anomaly truth of a scored run."""
+    return (tio.read_tsr3(input), tio.read_mask(mask), tio.read_tsr3(truth),
+            tio.read_mask(anomaly_truth))
+
+
 def cmd_ablate(args):
     values = resolve_config(args)
-    y = tio.read_tsr3(args.input)
-    mask = tio.read_mask(args.mask)
-    truth = tio.read_tsr3(args.truth)
-    anomaly_truth = tio.read_mask(args.anomaly_truth)
+    y, mask, truth, anomaly_truth = _read_scored_inputs(
+        args.input, args.mask, args.truth, args.anomaly_truth
+    )
     outdir = _ensure_outdir(args)
     base = solver_config_from(values)
     rows = []
     for variant in ABLATION_VARIANTS:
-        cfg = ablation_config(base, variant)
-        variant_values = dict(values, lam=cfg.lam, mu1=cfg.mu1, mu2=cfg.mu2)
-        result = _run_solve(variant_values, y, mask)
-        metrics = _evaluate(
-            variant_values, truth, result.x, result.r, mask, anomaly_truth
-        )
+        result = solve(y, mask, ablation_config(base, variant))
+        metrics = _evaluate(values, truth, result.x, result.r, mask, anomaly_truth)
         rows.append(((variant,), metrics))
     _write_metrics_csv(
         os.path.join(outdir, "ablation.csv"), rows, extra_columns=("variant",)
@@ -280,92 +253,78 @@ def cmd_ablate(args):
     return 0
 
 
-def _grid_cell(values, key1, v1, key2, v2, cell_seed, input_files):
-    cell = dict(values)
-    cell[key1] = v1
-    if key2:
-        cell[key2] = v2
-    cell["seed"] = cell_seed
+def _grid_cell(cell, input_files):
     if input_files:
-        y = tio.read_tsr3(input_files["input"])
-        mask = tio.read_mask(input_files["mask"])
-        truth = tio.read_tsr3(input_files["truth"])
-        anomaly_truth = tio.read_mask(input_files["anomaly_truth"])
+        y, mask, truth, anomaly_truth = _read_scored_inputs(*input_files)
     else:
         inst = generate(synthetic_spec_from(cell))
-        from .tensor_ops import project_observed
-
         y = project_observed(inst.full, inst.mask)
         mask = inst.mask
         truth = inst.full
         anomaly_truth = inst.anomaly_truth
-    result = _run_solve(cell, y, mask)
+    result = solve(y, mask, solver_config_from(cell))
     return _evaluate(cell, truth, result.x, result.r, mask, anomaly_truth)
+
+
+def _call_each(calls):
+    """Results of the calls in order; a call that raises yields its exception."""
+    outcomes = []
+    for call in calls:
+        try:
+            outcomes.append(call())
+        except Exception as exc:  # failed cells must not abort the grid
+            outcomes.append(exc)
+    return outcomes
 
 
 def cmd_grid(args):
     values = resolve_config(args)
     key1 = args.grid_key1
     key2 = args.grid_key2
-    for key in filter(None, (key1, key2)):
-        if key not in KEYS:
+    if (key2 is None) != (args.grid_values2 is None):
+        raise UsageError("--grid-key2 and --grid-values2 must be given together")
+    for key in (key1, key2):
+        if key is not None and key not in KEYS:
             raise UsageError(f"unknown grid key {key!r}")
-    values1 = [KEYS[key1][0](v) for v in args.grid_values1.split(";")]
+    values1 = [parse_value(key1, v) for v in args.grid_values1.split(";")]
     values2 = (
-        [KEYS[key2][0](v) for v in args.grid_values2.split(";")] if key2 else [None]
+        [parse_value(key2, v) for v in args.grid_values2.split(";")] if key2
+        else [None]
     )
-    cells = [(v1, v2) for v1 in values1 for v2 in values2]
-    if not cells:
-        raise UsageError("empty grid")
-    if len(cells) > args.max_cells:
-        raise UsageError(f"grid has {len(cells)} cells, cap is {args.max_cells}")
+    pairs = [(v1, v2) for v1 in values1 for v2 in values2]
+    if len(pairs) > args.max_cells:
+        raise UsageError(f"grid has {len(pairs)} cells, cap is {args.max_cells}")
     input_files = None
     if args.input:
-        input_files = {
-            "input": args.input,
-            "mask": args.mask,
-            "truth": args.truth,
-            "anomaly_truth": args.anomaly_truth,
-        }
-        if not all(input_files.values()):
+        input_files = (args.input, args.mask, args.truth, args.anomaly_truth)
+        if not all(input_files):
             raise UsageError(
                 "--input requires --mask, --truth and --anomaly-truth"
             )
+    cells = []
+    for idx, (v1, v2) in enumerate(pairs):
+        cell = dict(values)
+        cell[key1] = v1
+        if key2:
+            cell[key2] = v2
+        cell["seed"] = values["seed"] ^ idx
+        cells.append(cell)
+    runs = [functools.partial(_grid_cell, cell, input_files) for cell in cells]
     jobs = min(args.jobs or int(os.environ.get("TSLTO_JOBS", "1")),
                len(cells), os.cpu_count() or 1)
     outdir = _ensure_outdir(args)
-    results = {}
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(
-                    _grid_cell, values, key1, v1, key2, v2,
-                    values["seed"] ^ idx, input_files,
-                ): idx
-                for idx, (v1, v2) in enumerate(cells)
-            }
-            for fut in concurrent.futures.as_completed(futures):
-                idx = futures[fut]
-                try:
-                    results[idx] = fut.result()
-                except Exception as exc:  # failed cells must not abort the grid
-                    results[idx] = exc
+            outcomes = _call_each([pool.submit(run).result for run in runs])
     else:
-        for idx, (v1, v2) in enumerate(cells):
-            try:
-                results[idx] = _grid_cell(
-                    values, key1, v1, key2, v2, values["seed"] ^ idx, input_files
-                )
-            except Exception as exc:
-                results[idx] = exc
+        outcomes = _call_each(runs)
     with open(os.path.join(outdir, "grid.csv"), "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["cell", "key1", "value1", "key2", "value2", "seed",
                     "metric", "value", "error"])
-        for idx, (v1, v2) in enumerate(cells):
-            out = results[idx]
-            base = [idx, key1, _fmt(v1), key2 or "", _fmt(v2) if v2 is not None
-                    else "", values["seed"] ^ idx]
+        for idx, ((v1, v2), cell, out) in enumerate(zip(pairs, cells, outcomes)):
+            # csv writes None (no second key) as an empty field
+            base = [idx, key1, _fmt(v1), key2, _fmt(v2), cell["seed"]]
             if isinstance(out, Exception):
                 w.writerow(base + ["", "", f"{type(out).__name__}: {out}"])
                 continue

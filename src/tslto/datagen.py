@@ -13,8 +13,8 @@ from .tensor_ops import (
     fold,
     l0_count,
     l20_count,
-    mode_n_product,
     toeplitz_diff,
+    tucker_reconstruct,
     unfold,
 )
 
@@ -113,9 +113,7 @@ def generate(spec):
         _piecewise_factor(rng, d, r, spec.distinctive_rows_per_factor)
         for d, r in zip(spec.dims, spec.core_ranks)
     ]
-    lowrank = core
-    for mode, u in enumerate(factors, start=1):
-        lowrank = mode_n_product(lowrank, u, mode)
+    lowrank = tucker_reconstruct(core, *factors)
     anomaly_mat, occupied = _place_blocks(rng, spec)
     anomaly = fold(anomaly_mat, 1, spec.dims)
     anomaly_truth = fold(occupied.astype(float), 1, spec.dims) != 0

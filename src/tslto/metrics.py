@@ -96,19 +96,12 @@ def detection_metrics(truth_mask, r, rule=None):
         fp = int(np.count_nonzero(detected & ~truth_mask))
         fn = int(np.count_nonzero(~detected & truth_mask))
         return _prf(tp, fp, fn)
-    det2 = unfold(detected.astype(np.int8), 1)
-    truth2 = unfold(truth_mask.astype(np.int8), 1).astype(bool)
+    det2 = unfold(detected, 1)
+    truth2 = unfold(truth_mask, 1)
     structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
     det_labels, n_det = ndimage.label(det2, structure=structure)
-    tp = fp = 0
-    for lab in range(1, n_det + 1):
-        if truth2[det_labels == lab].any():
-            tp += 1
-        else:
-            fp += 1
     truth_labels, n_truth = ndimage.label(truth2, structure=structure)
-    fn = 0
-    for lab in range(1, n_truth + 1):
-        if not (det2[truth_labels == lab] != 0).any():
-            fn += 1
-    return _prf(tp, fp, fn)
+    # labels of the components that touch the other support; 0 is background
+    tp = int(np.count_nonzero(np.unique(det_labels[truth2])))
+    hit = int(np.count_nonzero(np.unique(truth_labels[det2])))
+    return _prf(tp, n_det - tp, n_truth - hit)

@@ -1,10 +1,12 @@
 import concurrent.futures
 import csv
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
-from tslto import cli, tucker_reconstruct
+from tslto import (SolverConfig, SyntheticInstance, SyntheticSpec, cli,
+                   generate, tucker_reconstruct)
 from tslto.cli import main
 from tslto.io import read_manifest, read_mask, read_tsr3, write_mask, write_tsr3
 
@@ -26,6 +28,50 @@ def read_csv_rows(path):
         return list(csv.DictReader(f))
 
 
+class TestKeys:
+    EXTRA = {"scope", "detect_mode", "detect_threshold", "theta", "shift",
+             "core_scale", "scale_ranks", "trace_every"}
+
+    def test_every_field_with_its_default(self):
+        defaults = {**asdict(SolverConfig()), **asdict(SyntheticSpec())}
+        assert set(cli.KEYS) == set(defaults) | self.EXTRA
+        for key, default in defaults.items():
+            assert cli.KEYS[key] == default
+            assert type(cli.KEYS[key]) is type(default)
+
+    @pytest.mark.parametrize("key, cast", [
+        ("ranks", int), ("dims", int), ("core_ranks", int),
+        ("scale_ranks", int), ("lam", float), ("alpha", float),
+    ])
+    def test_triples_parse_to_element_type(self, key, cast):
+        for text, expected in (("4", (4, 4, 4)), ("4,5,6", (4, 5, 6))):
+            value = cli.parse_value(key, text)
+            assert value == expected
+            assert all(type(v) is cast for v in value)
+
+    @pytest.mark.parametrize("flags, key", [
+        (["--dims", "4,a,4"], "dims"),
+        (["--dims", "4,4"], "dims"),
+        (["--missing-rate", "lots"], "missing_rate"),
+        (["--block-count", "2.5"], "block_count"),
+    ])
+    def test_malformed_flag_is_usage_error(self, tmp_path, capsys, flags, key):
+        rc = main(["generate", "--out", str(tmp_path / "g")] + flags)
+        assert rc == 1
+        assert f"error: {key}: " in capsys.readouterr().err
+
+    def test_malformed_config_line_is_usage_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text("max_outer=many\n")
+        write_tsr3(tmp_path / "y.tsr3", np.ones((3, 3, 3)))
+        write_mask(tmp_path / "mask.tsr3", np.ones((3, 3, 3), bool))
+        rc = main(["solve", "--input", str(tmp_path / "y.tsr3"),
+                   "--mask", str(tmp_path / "mask.tsr3"),
+                   "--out", str(tmp_path / "out"), "--config", str(cfgfile)])
+        assert rc == 1
+        assert "error: max_outer: " in capsys.readouterr().err
+
+
 class TestGenerate:
     def test_outputs_and_manifest(self, tmp_path):
         out = generate_instance(tmp_path / "gen")
@@ -36,6 +82,21 @@ class TestGenerate:
             4 * 2 * 8 / (12 * 10 * 8)
         )
         assert (out / "config_resolved.txt").exists()
+
+    def test_files_hold_the_instance(self, tmp_path):
+        out = generate_instance(tmp_path / "gen")
+        spec = SyntheticSpec(dims=(12, 10, 8), core_ranks=(2, 2, 2),
+                             block_count=4, block_rows=2, block_cols=8,
+                             missing_rate=0.3, seed=5)
+        inst = generate(spec)
+        for f in fields(SyntheticInstance):
+            expected = getattr(inst, f.name)
+            if expected.dtype == bool:
+                got = read_mask(out / f"{f.name}.tsr3")
+                assert got.dtype == bool
+            else:
+                got = read_tsr3(out / f"{f.name}.tsr3")
+            assert np.array_equal(got, expected)
 
     def test_default_ratio_ten_percent(self, tmp_path):
         assert main(["generate", "--out", str(tmp_path), "--seed", "1"]) == 0
@@ -236,6 +297,61 @@ class TestGrid:
             by_cell.setdefault(r["cell"], []).append(r)
         assert any(r["error"] for r in by_cell["1"])  # ranks 40 > dims
         assert all(not r["error"] for r in by_cell["0"])
+
+    def test_failed_cell_marked_in_pool(self, tmp_path, monkeypatch):
+        # A stand-in pool runs cells inline and, like a real executor, keeps
+        # a cell's exception in its future.
+        class InlinePool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = concurrent.futures.Future()
+                try:
+                    fut.set_result(fn(*args))
+                except Exception as exc:
+                    fut.set_exception(exc)
+                return fut
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        out = tmp_path / "grid"
+        rc = main(["grid", "--grid-key1", "ranks", "--grid-values1", "2;40",
+                   "--jobs", "2", "--out", str(out), "--seed", "9"]
+                  + GEN_FLAGS[:-2] + SOLVE_FLAGS[2:])
+        assert rc == 0
+        rows = read_csv_rows(out / "grid.csv")
+        by_cell = {}
+        for r in rows:
+            by_cell.setdefault(r["cell"], []).append(r)
+        assert [r["error"] for r in by_cell["1"]] == [
+            "ValueError: ranks (40, 40, 40) exceed tensor dims (12, 10, 8)"
+        ]
+        assert {r["metric"] for r in by_cell["0"]} >= {"rmse", "f1"}
+        assert all(not r["error"] for r in by_cell["0"])
+
+    def test_malformed_grid_value_is_usage_error(self, tmp_path, capsys):
+        rc = main(["grid", "--grid-key1", "mu1", "--grid-values1", "2;x",
+                   "--out", str(tmp_path / "g")])
+        assert rc == 1
+        assert "error: mu1: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--grid-key2", "mu2"],
+        ["--grid-values2", "1;2"],
+    ])
+    def test_unpaired_second_key_is_usage_error(self, tmp_path, flags):
+        rc = main(["grid", "--grid-key1", "mu1", "--grid-values1", "2",
+                   "--out", str(tmp_path / "g")] + flags)
+        assert rc == 1
+        assert not (tmp_path / "g").exists()
 
     def test_unknown_grid_key(self, tmp_path):
         rc = main(["grid", "--grid-key1", "bogus", "--grid-values1", "1",

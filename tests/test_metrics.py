@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from tslto import DetectionRule, detection_metrics, imputation_metrics
-from tslto.tensor_ops import fold
+from tslto.tensor_ops import fold, unfold
 
 
 def naive_imputation(truth, estimate, sel):
@@ -109,6 +112,26 @@ class TestImputationMetrics:
             imputation_metrics(np.ones((2, 2, 2)), np.ones((2, 2, 3)))
 
 
+def loop_block_counts(truth_mask, detected):
+    """Reference block-mode counts: one scan of the unfolding per component."""
+    det2 = unfold(detected, 1)
+    truth2 = unfold(truth_mask, 1)
+    structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+    det_labels, n_det = ndimage.label(det2, structure=structure)
+    tp = fp = 0
+    for lab in range(1, n_det + 1):
+        if truth2[det_labels == lab].any():
+            tp += 1
+        else:
+            fp += 1
+    truth_labels, n_truth = ndimage.label(truth2, structure=structure)
+    fn = 0
+    for lab in range(1, n_truth + 1):
+        if not det2[truth_labels == lab].any():
+            fn += 1
+    return tp, fp, fn
+
+
 class TestDetectionMetrics:
     def test_exact_match(self):
         truth = np.zeros((3, 3, 3), bool)
@@ -179,6 +202,23 @@ class TestDetectionMetrics:
         # tp=1 component, fp=1, fn=1
         assert out["precision"] == pytest.approx(0.5)
         assert out["recall"] == pytest.approx(0.5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.tuples(*[st.integers(1, 7)] * 3),
+           p_truth=st.floats(0, 1), p_det=st.floats(0, 1),
+           seed=st.integers(0, 2**32 - 1))
+    def test_block_mode_matches_loop_oracle(self, dims, p_truth, p_det, seed):
+        rng = np.random.default_rng(seed)
+        truth = rng.random(dims) < p_truth
+        detected = rng.random(dims) < p_det
+        tp, fp, fn = loop_block_counts(truth, detected)
+        precision = tp / (tp + fp) if tp + fp else 1.0
+        recall = tp / (tp + fn) if tp + fn else 1.0
+        out = detection_metrics(truth, detected.astype(float),
+                                DetectionRule(mode="block"))
+        assert out["precision"] == precision
+        assert out["recall"] == recall
+        assert all(type(v) is float for v in out.values())
 
     def test_invalid_rule(self):
         with pytest.raises(ValueError):
