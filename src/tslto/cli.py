@@ -34,8 +34,8 @@ class UsageError(Exception):
     pass
 
 
-# All recognized config keys with their defaults.  `seed` is shared by
-# SolverConfig and SyntheticSpec.
+# All recognized config keys with their defaults.  `seed` is SyntheticSpec's;
+# `solve` and `ablate` accept it and only record it.
 KEYS = {
     **asdict(SolverConfig()),
     **asdict(SyntheticSpec()),
@@ -277,6 +277,18 @@ def _call_each(calls):
     return outcomes
 
 
+def _job_count(flag):
+    """--jobs, or env TSLTO_JOBS (default 1) when the flag is 0."""
+    if flag < 0:
+        raise UsageError(f"--jobs must be >= 0, got {flag}")
+    if flag:
+        return flag
+    text = os.environ.get("TSLTO_JOBS", "1")
+    if not (text.strip().isdecimal() and int(text) >= 1):
+        raise UsageError(f"TSLTO_JOBS must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def cmd_grid(args):
     values = resolve_config(args)
     key1 = args.grid_key1
@@ -310,8 +322,7 @@ def cmd_grid(args):
         cell["seed"] = values["seed"] ^ idx
         cells.append(cell)
     runs = [functools.partial(_grid_cell, cell, input_files) for cell in cells]
-    jobs = min(args.jobs or int(os.environ.get("TSLTO_JOBS", "1")),
-               len(cells), os.cpu_count() or 1)
+    jobs = min(_job_count(args.jobs), len(cells), os.cpu_count() or 1)
     outdir = _ensure_outdir(args)
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -363,7 +374,7 @@ def build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--mask", required=True)
     p.add_argument("--out", required=True)
-    add_config_keys(p, solver_keys + ["trace_every"])
+    add_config_keys(p, solver_keys + ["seed", "trace_every"])
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("evaluate", help="score solver outputs against truth")
@@ -393,7 +404,7 @@ def build_parser():
     p.add_argument("--truth", required=True)
     p.add_argument("--anomaly-truth", dest="anomaly_truth", required=True)
     p.add_argument("--out", required=True)
-    add_config_keys(p, solver_keys + eval_keys + ["trace_every"])
+    add_config_keys(p, solver_keys + eval_keys + ["seed", "trace_every"])
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("grid", help="grid search over two config keys")
@@ -410,7 +421,8 @@ def build_parser():
                    help="parallel cells (default: env TSLTO_JOBS or 1)")
     p.add_argument("--max-cells", dest="max_cells", type=int, default=256)
     p.add_argument("--out", required=True)
-    add_config_keys(p, solver_keys + spec_keys + eval_keys + ["trace_every"])
+    add_config_keys(p, solver_keys + spec_keys + eval_keys
+                    + ["seed", "trace_every"])
     p.set_defaults(func=cmd_grid)
 
     return parser

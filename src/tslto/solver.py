@@ -2,8 +2,8 @@
 
 One outer iteration (`admm_iteration`) updates, in order: the completed
 tensor X, the Tucker core G, the three factors U1-U3 (Gauss-Seidel, each by
-majorize-minimize polar steps on the Stiefel manifold, a departure from the
-paper's manifold search), the anomaly tensor R (one backtracking
+one majorize-minimize polar step on the Stiefel manifold, a departure from
+the paper's manifold search), the anomaly tensor R (one backtracking
 proximal-gradient step), the low-rank surrogate L, the auxiliary blocks
 Y1-Y3 and Z (group / elementwise hard thresholds), and finally the Lagrange
 multipliers.  The penalty weights alpha, gamma and s grow by a fixed factor
@@ -58,9 +58,7 @@ class SolverConfig:
     eps: float = 1e-4
     ranks: tuple = (3, 3, 3)
     max_outer: int = 2000
-    max_inner: int = 60
     prox_rho: float = 0.5
-    seed: int = 0
 
     def validate(self):
         if self.beta < 0 or self.mu1 < 0 or self.mu2 < 0 or min(self.lam) < 0:
@@ -74,8 +72,8 @@ class SolverConfig:
             raise ValueError("growth must be >= 1")
         if not 0 < self.prox_rho < 1:
             raise ValueError("prox_rho must lie in (0, 1)")
-        if self.max_outer < 1 or self.max_inner < 1:
-            raise ValueError("iteration limits must be >= 1")
+        if self.max_outer < 1:
+            raise ValueError("max_outer must be >= 1")
         if len(self.ranks) != 3 or min(self.ranks) < 1:
             raise ValueError("ranks must be three positive integers")
 
@@ -249,47 +247,32 @@ def update_G(state):
 
 
 def update_U(state, cfg):
-    """Gauss-Seidel pass over the three factor subproblems.
+    """Gauss-Seidel pass of one MM-polar step per factor subproblem.
 
     On U^T U = I the fit term (beta/2) * ||U M - L_[i]||^2 equals
     -<U, C> + const with C = beta * L_[i] M^T, because
     tr(U A U^T) = tr(A) for A = beta * M M^T; the subproblem is that linear
     term plus the penalty <Y - D U, V> + (alpha/2) * ||Y - D U||^2, whose
-    curvature alpha * ||D^T D|| is below 4 * alpha.  Each MM-polar step is
-    therefore U+ = polar(C + D^T (V + alpha Y) + alpha (4I - D^T D) U).
+    curvature alpha * ||D^T D|| is below 4 * alpha.  The step is therefore
+    U+ = polar(C + D^T (V + alpha Y) + alpha (4I - D^T D) U).
     """
     us = [state.u1, state.u2, state.u3]
     ys = (state.y1, state.y2, state.y3)
     vs = (state.v1, state.v2, state.v3)
     for i, mode in enumerate((1, 2, 3)):
         m = factor_coefficient(state.g, us[0], us[1], us[2], mode)
-        l_unf = unfold(state.l, mode)
-        c = cfg.beta * (l_unf @ m.T)
+        c = cfg.beta * (unfold(state.l, mode) @ m.T)
         y, v, alpha = ys[i], vs[i], state.alpha[i]
-
-        # the search never evaluates f when given `lipschitz`, so the
-        # constant (beta/2) (||L_[i]||^2 + ||M||^2) is formed only on a call
-        def evaluate(u, c=c, m=m, l_unf=l_unf, y=y, v=v, alpha=alpha):
-            res = y - toeplitz_diff(u)
-            return (
-                0.5 * cfg.beta * (
-                    frobenius_inner(l_unf, l_unf) + frobenius_inner(m, m)
-                )
-                - frobenius_inner(u, c)
-                + frobenius_inner(res, v)
-                + 0.5 * alpha * frobenius_inner(res, res)
-            )
 
         def gradient(u, c=c, y=y, v=v, alpha=alpha):
             return -c - toeplitz_diff_adjoint(v + alpha * (y - toeplitz_diff(u)))
 
-        us[i] = minimize_on_stiefel(
-            SmoothObjective(evaluate, gradient),
-            us[i],
-            max_iters=cfg.max_inner,
-            lipschitz=4.0 * alpha,
-        )
+        us[i] = minimize_on_stiefel(SmoothObjective(None, gradient), us[i],
+                                    max_iters=1, lipschitz=4.0 * alpha)
     return tuple(us)
+
+
+R_MAX_HALVINGS = 50  # R line-search trials before SolverDivergenceError
 
 
 def _r_smooth(state):
@@ -318,7 +301,7 @@ def _r_smooth(state):
     return value, grad
 
 
-def update_R(state, cfg, max_halvings=50):
+def update_R(state, cfg):
     """One backtracking proximal-gradient step on the anomaly tensor.
 
     The smooth part f is quadratic, so a trial step delta is tested through
@@ -331,7 +314,7 @@ def update_R(state, cfg, max_halvings=50):
     r = state.r
     f0, grad = _r_smooth(state)
     lam = state.prox_lam
-    for _ in range(max_halvings):
+    for _ in range(R_MAX_HALVINGS):
         candidate = hard_threshold_l0(r - lam * grad, lam * cfg.mu1)
         delta = candidate - r
         d_delta = block_diff(unfold(delta, 1))
@@ -350,7 +333,7 @@ def update_R(state, cfg, max_halvings=50):
         lam *= cfg.prox_rho
     raise SolverDivergenceError(
         "proximal line search for the anomaly block exhausted "
-        f"{max_halvings} halvings (penalty scaling diverged)"
+        f"{R_MAX_HALVINGS} halvings (penalty scaling diverged)"
     )
 
 

@@ -8,7 +8,7 @@ polar factor of L U - G, one thin SVD per step, with no line search.
 """
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -23,9 +23,10 @@ from .tensor_ops import (
 
 @dataclass
 class SmoothObjective:
-    """Objective/gradient pair; gradient is the Euclidean gradient."""
+    """Objective/gradient pair; gradient is the Euclidean gradient.  evaluate
+    may be None when :func:`minimize_on_stiefel` gets a `lipschitz` bound."""
 
-    evaluate: Callable[[np.ndarray], float]
+    evaluate: Optional[Callable[[np.ndarray], float]]
     gradient: Callable[[np.ndarray], np.ndarray]
 
 
@@ -46,7 +47,8 @@ def minimize_on_stiefel(obj, u0, max_iters=60, lipschitz=None):
     Each step is U+ = polar(L U - grad f(U)).  `lipschitz` is a bound on the
     curvature of f; without one, L starts at ||G|| / ||U|| and doubles until
     the majorization inequality holds at the trial point, so the objective
-    never increases either way.  Stops on max_iters, on a zero Riemannian
+    never increases either way (that search raises ValueError when
+    `obj.evaluate` is None).  Stops on max_iters, on a zero Riemannian
     gradient (||G - U G^T U||_F below 1e-8 * (1 + ||u0||_F)), or when a
     step moves U by at most 1e-10 * (1 + ||u0||_F).
     """
@@ -57,6 +59,8 @@ def minimize_on_stiefel(obj, u0, max_iters=60, lipschitz=None):
     step_tol = 1e-10 * (1.0 + frobenius_norm(u))
     lip = lipschitz
     if lip is None:
+        if obj.evaluate is None:
+            raise ValueError("obj.evaluate is None and no lipschitz bound")
         f = float(obj.evaluate(u))
         if not np.isfinite(f):
             raise ValueError("non-finite objective at the initial point")

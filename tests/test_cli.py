@@ -144,6 +144,19 @@ class TestSolve:
         rows = read_csv_rows(out / "trace.csv")
         assert rows[-1]["iter"] == "2"
 
+    def test_resolved_config_reruns_identically(self, tmp_path):
+        # every key a run records must be one the CLI reads back
+        gen = generate_instance(tmp_path / "gen")
+        inputs = ["--input", str(gen / "full.tsr3"),
+                  "--mask", str(gen / "mask.tsr3")]
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["solve", "--out", str(first)] + inputs + SOLVE_FLAGS) == 0
+        assert main(["solve", "--out", str(second), "--config",
+                     str(first / "config_resolved.txt")] + inputs) == 0
+        for name in ("x", "l", "r"):
+            assert (first / f"{name}.tsr3").read_bytes() == \
+                   (second / f"{name}.tsr3").read_bytes()
+
     def test_missing_input_is_runtime_error(self, tmp_path):
         rc = main(["solve", "--input", str(tmp_path / "nope.tsr3"),
                    "--mask", str(tmp_path / "nope.tsr3"),
@@ -388,6 +401,31 @@ class TestGrid:
                   + GEN_FLAGS[:-2] + SOLVE_FLAGS)
         assert rc == 0
         assert sizes == [workers]
+
+    @pytest.mark.parametrize("env, flags, named", [
+        ("two", [], "TSLTO_JOBS"),
+        ("0", [], "TSLTO_JOBS"),
+        ("-2", [], "TSLTO_JOBS"),
+        ("2", ["--jobs", "-3"], "--jobs"),
+    ])
+    def test_bad_job_count_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                          env, flags, named):
+        monkeypatch.setenv("TSLTO_JOBS", env)
+        rc = main(["grid", "--grid-key1", "mu1", "--grid-values1", "2;5",
+                   "--out", str(tmp_path / "g")] + flags)
+        assert rc == 1
+        assert f"error: {named} must be" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("env, jobs", [(None, 1), ("2", 2)])
+    def test_jobs_zero_reads_env(self, monkeypatch, env, jobs):
+        # --jobs 0 means TSLTO_JOBS, or 1 when it is unset
+        if env is None:
+            monkeypatch.delenv("TSLTO_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("TSLTO_JOBS", env)
+        assert cli._job_count(0) == jobs
+        assert cli._job_count(3) == 3
 
     def test_cell_cap(self, tmp_path):
         rc = main(["grid", "--grid-key1", "seed",

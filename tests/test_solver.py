@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from tslto import (
     SolverConfig,
+    SolverDivergenceError,
     SolverState,
     SyntheticSpec,
     ablation_config,
@@ -459,6 +460,15 @@ class TestUpdateR:
         np.testing.assert_array_equal(out, np.zeros((2, 2, 2)))
 
 
+    def test_exhausted_line_search_raises(self):
+        # a step of 1e30 halved 50 times is still far too long to accept
+        st = _random_r_state((4, 3, 3), 5)
+        st.r = np.zeros((4, 3, 3), order="F")
+        st.prox_lam = 1e30
+        with pytest.raises(SolverDivergenceError, match="exhausted 50 halvings"):
+            update_R(st, SolverConfig())
+
+
 class TestUpdateL:
     def test_scalar_blend(self):
         # beta=1, s=1, P=0, reconstruction 4, X-R = 2 -> L = 3
@@ -654,6 +664,14 @@ class TestSolve:
         assert calls == {"objective": 1, "residuals": 1}
         assert untraced.objective == res.objective
         assert untraced.residuals == res.residuals
+
+    def test_non_finite_state_raises(self, monkeypatch):
+        monkeypatch.setattr("tslto.solver.update_L",
+                            lambda state, cfg: np.full(state.l.shape, np.nan))
+        y, _, _ = exact_tucker_tensor(25, dims=(6, 6, 6))
+        with pytest.raises(SolverDivergenceError,
+                           match="non-finite state at outer iteration 1"):
+            solve(y, np.ones(y.shape, bool), SolverConfig(ranks=(2, 2, 2)))
 
     def test_factor_signs_do_not_change_the_solve(self, monkeypatch):
         inst = generate(SyntheticSpec(missing_rate=0.3, seed=1))

@@ -106,7 +106,13 @@ class TestPolarStep:
                         + np.vdot(res, v) + 0.5 * alpha * np.vdot(res, res))
 
             assert kwargs["lipschitz"] == 4.0 * alpha
-            assert abs(obj.evaluate(u) - full(u)) <= 1e-10 * abs(full(u))
+            assert kwargs["max_iters"] == 1
+            # the step's gradient drops the fit term's quadratic part
+            # beta * U M M^T, constant in value on the manifold
+            ref = grad_U_subproblem(state.g, *trial, state.l, cfg.beta, mode,
+                                    y, v, alpha)
+            grad = obj.gradient(u) + cfg.beta * u @ m @ m.T
+            assert np.linalg.norm(grad - ref) <= 1e-10 * np.linalg.norm(ref)
             values = [full(u)]
             for _ in range(20):
                 u = minimize_on_stiefel(obj, u, max_iters=1,
@@ -156,6 +162,14 @@ class TestMinimizeOnStiefel:
             u = minimize_on_stiefel(obj, u0, max_iters=100)
             assert obj.evaluate(u) <= obj.evaluate(u0) + 1e-12
             assert orthonormality_error(u) <= 1e-8
+
+    def test_no_objective_and_no_bound_raises(self):
+        rng = np.random.default_rng(13)
+        u0 = random_stiefel(rng, 6, 2)
+        g = rng.standard_normal((6, 2))
+        obj = SmoothObjective(None, lambda u: g)
+        with pytest.raises(ValueError, match="evaluate"):
+            minimize_on_stiefel(obj, u0)
 
     def test_invalid_max_iters(self):
         obj = SmoothObjective(lambda u: 0.0, lambda u: np.zeros_like(u))
