@@ -4,7 +4,6 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .tensor_ops import unfold
 
@@ -96,6 +95,10 @@ def detection_metrics(truth_mask, r, rule=None):
         fp = int(np.count_nonzero(detected & ~truth_mask))
         fn = int(np.count_nonzero(~detected & truth_mask))
         return _prf(tp, fp, fn)
+    # imported on first use: scipy.ndimage roughly doubles the package's
+    # import time and resident memory, and only block mode needs it
+    from scipy import ndimage
+
     det2 = unfold(detected, 1)
     truth2 = unfold(truth_mask, 1)
     structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])

@@ -20,11 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .prox import group_hard_threshold_l20, hard_threshold_l0
-from .stiefel import (
-    SmoothObjective,
-    factor_coefficient,
-    minimize_on_stiefel,
-)
+from .stiefel import SmoothObjective, fit_coefficients, minimize_on_stiefel
 from .tensor_ops import (
     fold,
     frobenius_inner,
@@ -254,14 +250,14 @@ def update_U(state, cfg):
     tr(U A U^T) = tr(A) for A = beta * M M^T; the subproblem is that linear
     term plus the penalty <Y - D U, V> + (alpha/2) * ||Y - D U||^2, whose
     curvature alpha * ||D^T D|| is below 4 * alpha.  The step is therefore
-    U+ = polar(C + D^T (V + alpha Y) + alpha (4I - D^T D) U).
+    U+ = polar(C + D^T (V + alpha Y) + alpha (4I - D^T D) U).  C comes from
+    the partial projections of :func:`fit_coefficients`.
     """
     us = [state.u1, state.u2, state.u3]
     ys = (state.y1, state.y2, state.y3)
     vs = (state.v1, state.v2, state.v3)
-    for i, mode in enumerate((1, 2, 3)):
-        m = factor_coefficient(state.g, us[0], us[1], us[2], mode)
-        c = cfg.beta * (unfold(state.l, mode) @ m.T)
+    for i, lm in enumerate(fit_coefficients(state.l, state.g, us)):
+        c = cfg.beta * lm
         y, v, alpha = ys[i], vs[i], state.alpha[i]
 
         def gradient(u, c=c, y=y, v=v, alpha=alpha):
@@ -286,16 +282,16 @@ def _r_smooth(state):
     res_z = state.w / state.gamma
     res_z += state.z
     res_z -= double_diff(state)
+    sq_z = frobenius_inner(res_z, res_z)
+    grad = fold(block_diff_adjoint(res_z), 1, state.r.shape)
+    # each residual is released before the next one is built (peak memory)
+    del res_z
+    grad *= -state.gamma
     res_xlr = state.x - state.l
     res_xlr += state.p / state.s
     res_xlr -= state.r
-    value = 0.5 * (
-        state.gamma * frobenius_inner(res_z, res_z)
-        + state.s * frobenius_inner(res_xlr, res_xlr)
-    )
-    grad = fold(block_diff_adjoint(res_z), 1, state.r.shape)
-    del res_z
-    grad *= -state.gamma
+    value = 0.5 * (state.gamma * sq_z
+                   + state.s * frobenius_inner(res_xlr, res_xlr))
     res_xlr *= state.s
     grad -= res_xlr
     return value, grad
@@ -315,7 +311,10 @@ def update_R(state, cfg):
     f0, grad = _r_smooth(state)
     lam = state.prox_lam
     for _ in range(R_MAX_HALVINGS):
-        candidate = hard_threshold_l0(r - lam * grad, lam * cfg.mu1)
+        trial = grad * -lam  # r - lam * grad, in one temporary
+        trial += r
+        candidate = hard_threshold_l0(trial, lam * cfg.mu1)
+        del trial
         delta = candidate - r
         d_delta = block_diff(unfold(delta, 1))
         linear = f0 + frobenius_inner(grad, delta)
@@ -338,14 +337,18 @@ def update_R(state, cfg):
 
 
 def update_L(state, cfg):
-    """Closed-form blend of the Tucker fit and the feasibility target."""
-    recon = tucker_reconstruct(state.g, state.u1, state.u2, state.u3)
+    """Closed-form blend of the Tucker fit and the feasibility target:
+    (beta * recon + s * (X - R) + P) / (beta + s), where the fit's weight
+    scales the r1 x r2 x r3 core before the reconstruction."""
     denom = cfg.beta + state.s
-    return (
-        cfg.beta / denom * recon
-        + state.s / denom * (state.x - state.r)
-        + state.p / denom
-    )
+    out = tucker_reconstruct(cfg.beta / denom * state.g,
+                             state.u1, state.u2, state.u3)
+    tmp = state.x - state.r
+    tmp *= state.s / denom
+    out += tmp
+    np.divide(state.p, denom, out=tmp)
+    out += tmp
+    return out
 
 
 def update_Y(state, cfg):
@@ -370,8 +373,13 @@ def update_multipliers(state):
     v1 = state.v1 + state.alpha[0] * (state.y1 - toeplitz_diff(state.u1))
     v2 = state.v2 + state.alpha[1] * (state.y2 - toeplitz_diff(state.u2))
     v3 = state.v3 + state.alpha[2] * (state.y3 - toeplitz_diff(state.u3))
-    w = state.w + state.gamma * (state.z - double_diff(state))
-    p = state.p + state.s * (state.x - state.l - state.r)
+    w = state.z - double_diff(state)
+    w *= state.gamma
+    w += state.w
+    p = state.x - state.l
+    p -= state.r
+    p *= state.s
+    p += state.p
     return v1, v2, v3, w, p
 
 

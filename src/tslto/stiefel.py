@@ -106,6 +106,23 @@ def factor_coefficient(g_core, u1, u2, u3, mode):
     return unfold(t, mode)
 
 
+def fit_coefficients(l, g_core, us):
+    """Yield unfold(L, i) @ factor_coefficient(G, U1, U2, U3, i).T for i = 1, 2, 3.
+
+    Each is formed from the partial projection L x_{j != i} U_j^T as
+    unfold(L x_{j != i} U_j^T, i) @ unfold(G, i).T, which never unfolds L.
+    Modes 2 and 3 share L x_1 U1^T.  The factors are read from the list `us`
+    only when the next coefficient is asked for, so a Gauss-Seidel caller
+    that replaces us[i - 1] between steps gets each mode's coefficient at the
+    factors updated so far.
+    """
+    yield unfold(mode_n_product(mode_n_product(l, us[2].T, 3), us[1].T, 2),
+                 1) @ unfold(g_core, 1).T
+    l1 = mode_n_product(l, us[0].T, 1)
+    yield unfold(mode_n_product(l1, us[2].T, 3), 2) @ unfold(g_core, 2).T
+    yield unfold(mode_n_product(l1, us[1].T, 2), 3) @ unfold(g_core, 3).T
+
+
 def grad_fbeta_U(g_core, u1, u2, u3, l, beta, mode):
     """Gradient of (beta/2) * ||reconstruction - L||_F^2 w.r.t. factor `mode`."""
     us = {1: u1, 2: u2, 3: u3}

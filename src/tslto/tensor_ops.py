@@ -11,6 +11,10 @@ the factor-gradient formulas assume.
 import numpy as np
 
 MODES = (1, 2, 3)
+# Axis order that brings mode k to the front with the other two in ascending
+# order (np.moveaxis(x, k - 1, 0)), and its inverse for folding back.
+_UNFOLD_AXES = {1: (0, 1, 2), 2: (1, 0, 2), 3: (2, 0, 1)}
+_FOLD_AXES = {1: (0, 1, 2), 2: (1, 0, 2), 3: (1, 2, 0)}
 
 
 def _check_mode(mode):
@@ -29,8 +33,8 @@ def unfold(x, mode):
     x = np.asarray(x)
     if x.ndim != 3:
         raise ValueError(f"expected a third-order tensor, got ndim={x.ndim}")
-    axis = mode - 1
-    return np.moveaxis(x, axis, 0).reshape((x.shape[axis], -1), order="F")
+    return x.transpose(_UNFOLD_AXES[mode]).reshape(
+        (x.shape[mode - 1], -1), order="F")
 
 
 def fold(m, mode, dims):
@@ -47,7 +51,7 @@ def fold(m, mode, dims):
             f"matrix shape {m.shape} inconsistent with dims {dims} and mode {mode}"
         )
     t = m.reshape((dims[axis], rest[0], rest[1]), order="F")
-    return np.moveaxis(t, 0, axis)
+    return t.transpose(_FOLD_AXES[mode])
 
 
 def mode_n_product(x, a, mode):
@@ -116,7 +120,7 @@ def toeplitz_diff_adjoint(m):
     # wrong values through the latter when both rows are strided views of
     # column-major arrays (seen with 8-row inputs)
     out[0] = m[0]
-    out[1:-1] = m[1:] - m[:-1]
+    np.subtract(m[1:], m[:-1], out=out[1:-1])
     out[-1] = -m[-1]
     return out
 

@@ -287,6 +287,51 @@ class TestAblate:
         assert seen == [0] * 8
 
 
+    def test_unthresholded_variants_flag_every_entry(self, tmp_path,
+                                                    monkeypatch):
+        """Variants b, d, f and g (mu1 = 0) flag at least 99.9 % of the
+        entries, so their F1 is the all-flagged 2p / (1 + p) to 1e-3: the
+        rule perfbench/run.py applies to its ablate workload.
+
+        For f and g (mu1 = mu2 = 0) this outcome rests on rounding noise.
+        Off the mask X = L + R - P/s, so R's residual X - L + P/s - R there
+        is exactly zero in exact arithmetic, and so is the Z term of R's
+        gradient once W has cancelled; only the rounding noise of those
+        residuals moves an unobserved entry of R off zero.  A solver that
+        formed that residual exactly would leave those entries unflagged.
+        """
+        gen = tmp_path / "gen"
+        assert main(["generate", "--out", str(gen), "--dims", "20,20,20",
+                     "--block-count", "10", "--block-rows", "2",
+                     "--block-cols", "40", "--missing-rate", "0.3",
+                     "--seed", "1"]) == 0
+        full = read_tsr3(gen / "full.tsr3")
+        mask = read_mask(gen / "mask.tsr3")
+        write_tsr3(gen / "observed.tsr3", np.where(mask, full, 0.0))
+        flagged = []
+        real_solve = cli.solve
+
+        def recording_solve(*args, **kwargs):
+            result = real_solve(*args, **kwargs)
+            flagged.append(np.count_nonzero(result.r) / result.r.size)
+            return result
+
+        monkeypatch.setattr(cli, "solve", recording_solve)
+        out = tmp_path / "abl"
+        assert main(["ablate", "--input", str(gen / "observed.tsr3"),
+                     "--mask", str(gen / "mask.tsr3"),
+                     "--truth", str(gen / "lowrank.tsr3"),
+                     "--anomaly-truth", str(gen / "anomaly_truth.tsr3"),
+                     "--out", str(out), "--max-outer", "5"]) == 0
+        rows = read_csv_rows(out / "ablation.csv")
+        p = read_mask(gen / "anomaly_truth.tsr3").mean()
+        for row, share in zip(rows, flagged):
+            if row["variant"] in ("b", "d", "f", "g"):
+                assert share >= 0.999, (row["variant"], share)
+                assert float(row["f1"]) == pytest.approx(2 * p / (1 + p),
+                                                         rel=1e-3)
+
+
 class TestGrid:
     def test_single_cell_matches_solo_run(self, tmp_path):
         out = tmp_path / "grid"

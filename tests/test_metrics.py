@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+import tslto
 from tslto import DetectionRule, detection_metrics, imputation_metrics
 from tslto.tensor_ops import fold, unfold
 
@@ -110,6 +115,17 @@ class TestImputationMetrics:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             imputation_metrics(np.ones((2, 2, 2)), np.ones((2, 2, 3)))
+
+
+def test_import_leaves_scipy_ndimage_unloaded():
+    # block-mode scoring imports scipy.ndimage on first use, so a fresh
+    # process that imports the package and its CLI never loads it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tslto.__file__)))
+    code = "import sys, tslto, tslto.cli; print('scipy.ndimage' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.strip() == "False"
 
 
 def loop_block_counts(truth_mask, detected):

@@ -673,6 +673,19 @@ class TestSolve:
                            match="non-finite state at outer iteration 1"):
             solve(y, np.ones(y.shape, bool), SolverConfig(ranks=(2, 2, 2)))
 
+    def test_non_finite_unobserved_entries_stay_out_of_the_state(self):
+        # update_X merges with np.where, so NaN and inf off the mask never
+        # reach X; an arithmetic merge (free * ~mask + y * mask) would carry
+        # NaN * 0 = NaN into the state
+        inst = generate(SyntheticSpec(dims=(20, 20, 20), block_count=10,
+                                      block_cols=40, missing_rate=0.3, seed=4))
+        y = np.where(inst.mask, inst.full, np.nan)
+        y[tuple(np.argwhere(~inst.mask)[0])] = np.inf
+        res = solve(y, inst.mask, SolverConfig(max_outer=20, eps=1e-12))
+        assert res.iterations == 20
+        for name in ("x", "l", "r"):
+            assert np.isfinite(getattr(res, name)).all(), name
+
     def test_factor_signs_do_not_change_the_solve(self, monkeypatch):
         inst = generate(SyntheticSpec(missing_rate=0.3, seed=1))
         y = project_observed(inst.full, inst.mask)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from tslto import (
     SmoothObjective,
@@ -12,7 +14,12 @@ from tslto import (
 )
 from tslto import solver
 from tslto.solver import SolverConfig, init_state, update_U
-from tslto.stiefel import _polar, factor_coefficient, orthonormality_error
+from tslto.stiefel import (
+    _polar,
+    factor_coefficient,
+    fit_coefficients,
+    orthonormality_error,
+)
 
 
 def random_stiefel(rng, d, r):
@@ -193,6 +200,24 @@ class TestFactorCoefficient:
         g, us, _ = random_problem(rng)
         with pytest.raises(ValueError):
             factor_coefficient(g, *us, 4)
+
+
+class TestFitCoefficients:
+    @settings(deadline=None)
+    @given(hst.tuples(*[hst.integers(2, 8)] * 3), hst.sampled_from("CF"),
+           hst.integers(0, 2**32 - 1))
+    def test_matches_unfolded_coefficient(self, dims, order, seed):
+        # Gauss-Seidel use: each factor is replaced after its coefficient
+        rng = np.random.default_rng(seed)
+        ranks = [int(rng.integers(1, d + 1)) for d in dims]
+        g = np.asarray(rng.standard_normal(ranks), order=order)
+        l = np.asarray(rng.standard_normal(dims), order=order)
+        us = [random_stiefel(rng, d, r) for d, r in zip(dims, ranks)]
+        for mode, lm in enumerate(fit_coefficients(l, g, us), start=1):
+            ref = unfold(l, mode) @ factor_coefficient(g, *us, mode).T
+            assert lm.shape == ref.shape
+            assert np.linalg.norm(lm - ref) <= 1e-12 * np.linalg.norm(ref)
+            us[mode - 1] = random_stiefel(rng, dims[mode - 1], ranks[mode - 1])
 
 
 class TestGradFbetaU:

@@ -101,6 +101,23 @@ class TestUnfoldFold:
         assert m.shape == (x.shape[mode - 1], x.size // x.shape[mode - 1])
         assert np.array_equal(fold(m, mode, x.shape), x)
 
+    @given(hnp.arrays(
+        np.float64, hnp.array_shapes(min_dims=3, max_dims=3, min_side=2,
+                                     max_side=8),
+        elements=st.floats(allow_nan=False),
+    ), st.sampled_from("CF"), st.sampled_from([1, 2, 3]))
+    def test_matches_moveaxis_spelling(self, x, order, mode):
+        x = np.asarray(x, order=order)
+        axis = mode - 1
+        ref = np.moveaxis(x, axis, 0).reshape((x.shape[axis], -1), order="F")
+        m = unfold(x, mode)
+        assert np.array_equal(m, ref) and m.strides == ref.strides
+        rest = [d for i, d in enumerate(x.shape) if i != axis]
+        back = np.moveaxis(ref.reshape((x.shape[axis], *rest), order="F"),
+                           0, axis)
+        t = fold(m, mode, x.shape)
+        assert np.array_equal(t, back) and t.strides == back.strides
+
     def test_kronecker_factor_identity(self):
         # unfold(G x1 U1 x2 U2 x3 U3, n) = U_n @ unfold(G, n) @ kron(...)^T
         rng = np.random.default_rng(5)
