@@ -10,6 +10,7 @@ import argparse
 import concurrent.futures
 import csv
 import functools
+import inspect
 import os
 import sys
 from dataclasses import asdict, fields
@@ -34,18 +35,18 @@ class UsageError(Exception):
     pass
 
 
-# All recognized config keys with their defaults.  `seed` is SyntheticSpec's;
-# `solve` and `ablate` accept it and only record it.
+# All recognized config keys with their defaults, read from their definitions.
+# `seed` is SyntheticSpec's; `solve` and `ablate` accept it and only record it.
 KEYS = {
     **asdict(SolverConfig()),
     **asdict(SyntheticSpec()),
     "scope": "missing",
-    "detect_mode": "entry",
-    "detect_threshold": 0.0,
-    "theta": 0.95,
-    "shift": 20.0,
-    "core_scale": 0.14,
-    "scale_ranks": (2, 5, 6),
+    "detect_mode": DetectionRule.mode,
+    "detect_threshold": DetectionRule.threshold,
+    "theta": inspect.signature(select_rank).parameters["theta"].default,
+    "shift": ScaleTransform.shift,
+    "core_scale": ScaleTransform.core_scale,
+    "scale_ranks": ScaleTransform.ranks,
     "trace_every": 10,
 }
 
@@ -159,13 +160,15 @@ def cmd_solve(args):
 
 
 def _evaluate(values, truth, estimate, r, mask, anomaly_truth):
-    imp = imputation_metrics(
+    rule = DetectionRule(values["detect_mode"], values["detect_threshold"])
+    rule.validate()  # also when there is no anomaly truth to score
+    metrics = imputation_metrics(
         truth, estimate, scope=values["scope"], mask=mask,
         anomaly_truth=anomaly_truth,
     )
-    rule = DetectionRule(values["detect_mode"], values["detect_threshold"])
-    det = detection_metrics(anomaly_truth, r, rule)
-    return {**imp, **det}
+    if anomaly_truth is not None:
+        metrics.update(detection_metrics(anomaly_truth, r, rule))
+    return metrics
 
 
 METRIC_COLUMNS = ["rmse", "mape", "mae", "n", "mape_skipped",
@@ -319,7 +322,8 @@ def cmd_grid(args):
         cell[key1] = v1
         if key2:
             cell[key2] = v2
-        cell["seed"] = values["seed"] ^ idx
+        if "seed" not in (key1, key2):
+            cell["seed"] = values["seed"] ^ idx
         cells.append(cell)
     runs = [functools.partial(_grid_cell, cell, input_files) for cell in cells]
     jobs = min(_job_count(args.jobs), len(cells), os.cpu_count() or 1)

@@ -268,21 +268,20 @@ def update_U(state, cfg):
     return tuple(us)
 
 
-R_MAX_HALVINGS = 50  # R line-search trials before SolverDivergenceError
+# R line-search trials before SolverDivergenceError.  As ||D||^2 < 16, every
+# finite trial passes once lam <= 1 / (s + 16 gamma), so the limit is reached
+# only through non-finite trials or from a start step above
+# prox_rho^-49 / (s + 16 gamma) (2^49 / (s + 16 gamma) at prox_rho = 0.5).
+R_MAX_HALVINGS = 50
 
 
-def _r_smooth(state):
-    """Value and gradient of the smooth part of the R subproblem at state.r.
-
-    The completed square (gamma/2) ||Z + W/gamma - D R||^2
-    + (s/2) ||X - L + P/s - R||^2 differs from the augmented-Lagrangian
-    terms <Z - D R, W> + (gamma/2) ||Z - D R||^2 + <X - L - R, P>
-    + (s/2) ||X - L - R||^2 only by a constant in R.
-    """
+def _r_gradient(state):
+    """Gradient at state.r of the smooth part f of the R subproblem, the
+    augmented-Lagrangian terms <Z - D R, W> + (gamma/2) ||Z - D R||^2
+    + <X - L - R, P> + (s/2) ||X - L - R||^2."""
     res_z = state.w / state.gamma
     res_z += state.z
     res_z -= double_diff(state)
-    sq_z = frobenius_inner(res_z, res_z)
     grad = fold(block_diff_adjoint(res_z), 1, state.r.shape)
     # each residual is released before the next one is built (peak memory)
     del res_z
@@ -290,25 +289,25 @@ def _r_smooth(state):
     res_xlr = state.x - state.l
     res_xlr += state.p / state.s
     res_xlr -= state.r
-    value = 0.5 * (state.gamma * sq_z
-                   + state.s * frobenius_inner(res_xlr, res_xlr))
     res_xlr *= state.s
     grad -= res_xlr
-    return value, grad
+    return grad
 
 
 def update_R(state, cfg):
     """One backtracking proximal-gradient step on the anomaly tensor.
 
-    The smooth part f is quadratic, so a trial step delta is tested through
-    f(R + delta) = f(R) + <grad f(R), delta>
-    + (gamma ||D delta||^2 + s ||delta||^2) / 2, one double difference per
-    trial.  The accepted step also gives D R+ = D R + D delta, which is left
-    for :func:`double_diff`.  Returns the new tensor and the accepted step,
+    f is quadratic, so f(R) + <grad f(R), delta> is on both sides of the
+    majorizer test f(R + delta) <= f(R) + <grad f(R), delta>
+    + ||delta||^2 / (2 lam) and cancels, leaving the curvature test
+    gamma ||D delta||^2 + s ||delta||^2 <= ||delta||^2 / lam: one double
+    difference and two inner products per trial, no value of f.  The
+    accepted step also gives D R+ = D R + D delta, left for
+    :func:`double_diff`.  Returns the new tensor and the accepted step,
     which warm-starts the next outer iteration's line search.
     """
     r = state.r
-    f0, grad = _r_smooth(state)
+    grad = _r_gradient(state)
     lam = state.prox_lam
     for _ in range(R_MAX_HALVINGS):
         trial = grad * -lam  # r - lam * grad, in one temporary
@@ -317,13 +316,9 @@ def update_R(state, cfg):
         del trial
         delta = candidate - r
         d_delta = block_diff(unfold(delta, 1))
-        linear = f0 + frobenius_inner(grad, delta)
         sq = frobenius_inner(delta, delta)
-        quad = linear + sq / (2.0 * lam)
-        value = linear + 0.5 * (
-            state.gamma * frobenius_inner(d_delta, d_delta) + state.s * sq
-        )
-        if value <= quad + 1e-12 * (1.0 + abs(quad)):
+        if (state.gamma * frobenius_inner(d_delta, d_delta) + state.s * sq
+                <= sq / lam):
             d_delta += double_diff(state)
             state._double_diff = (candidate, d_delta)
             return candidate, lam

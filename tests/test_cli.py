@@ -1,12 +1,14 @@
 import concurrent.futures
 import csv
+import inspect
 from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
-from tslto import (SolverConfig, SyntheticInstance, SyntheticSpec, cli,
-                   generate, tucker_reconstruct)
+from tslto import (DetectionRule, ScaleTransform, SolverConfig,
+                   SyntheticInstance, SyntheticSpec, cli, generate,
+                   select_rank, tucker_reconstruct)
 from tslto.cli import main
 from tslto.io import read_manifest, read_mask, read_tsr3, write_mask, write_tsr3
 
@@ -33,7 +35,14 @@ class TestKeys:
              "core_scale", "scale_ranks", "trace_every"}
 
     def test_every_field_with_its_default(self):
-        defaults = {**asdict(SolverConfig()), **asdict(SyntheticSpec())}
+        rule, scale = DetectionRule(), ScaleTransform()
+        defaults = {
+            **asdict(SolverConfig()), **asdict(SyntheticSpec()),
+            "detect_mode": rule.mode, "detect_threshold": rule.threshold,
+            "theta": inspect.signature(select_rank).parameters["theta"].default,
+            "shift": scale.shift, "core_scale": scale.core_scale,
+            "scale_ranks": scale.ranks,
+        }
         assert set(cli.KEYS) == set(defaults) | self.EXTRA
         for key, default in defaults.items():
             assert cli.KEYS[key] == default
@@ -192,6 +201,28 @@ class TestEvaluate:
         assert float(row["mae"]) == 0.0
         assert float(row["f1"]) == 1.0
 
+    def test_without_anomaly_truth_scores_imputation_only(self, tmp_path,
+                                                          capsys):
+        rng = np.random.default_rng(2)
+        x = rng.uniform(1, 2, (4, 3, 2))
+        write_tsr3(tmp_path / "truth.tsr3", x)
+        write_tsr3(tmp_path / "est.tsr3", x + 0.5)
+        write_tsr3(tmp_path / "r.tsr3", rng.standard_normal(x.shape))
+        metrics = tmp_path / "metrics.csv"
+        argv = ["evaluate", "--truth", str(tmp_path / "truth.tsr3"),
+                "--estimate", str(tmp_path / "est.tsr3"),
+                "--anomaly", str(tmp_path / "r.tsr3"),
+                "--metrics-out", str(metrics), "--scope", "all"]
+        assert main(argv) == 0
+        [row] = read_csv_rows(metrics)
+        assert float(row["rmse"]) == pytest.approx(0.5)
+        assert float(row["mae"]) == pytest.approx(0.5)
+        assert int(row["n"]) == x.size
+        assert row["precision"] == row["recall"] == row["f1"] == ""
+        # the detection rule is still checked
+        assert main(argv + ["--detect-mode", "blocks"]) == 2
+        assert "unknown detection mode 'blocks'" in capsys.readouterr().err
+
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         x = np.ones((2, 2, 2))
         write_tsr3(tmp_path / "x.tsr3", x)
@@ -342,6 +373,26 @@ class TestGrid:
         rows = read_csv_rows(out / "grid.csv")
         assert {r["metric"] for r in rows} >= {"rmse", "f1"}
         assert all(r["error"] == "" for r in rows)
+
+    def test_swept_seed_sets_the_instance(self, tmp_path):
+        rc = main(["grid", "--grid-key1", "seed", "--grid-values1", "5;9",
+                   "--out", str(tmp_path / "seeds")] + GEN_FLAGS[:-2]
+                  + SOLVE_FLAGS)
+        assert rc == 0
+        rows = read_csv_rows(tmp_path / "seeds" / "grid.csv")
+        assert all(r["error"] == "" for r in rows)
+        assert {(r["value1"], r["seed"]) for r in rows} == {("5", "5"),
+                                                             ("9", "9")}
+        # GEN_FLAGS sets missing_rate 0.3, so this one cell is seed 5's
+        rc = main(["grid", "--grid-key1", "missing_rate", "--grid-values1",
+                   "0.3", "--out", str(tmp_path / "solo"), "--seed", "5"]
+                  + GEN_FLAGS[:-2] + SOLVE_FLAGS)
+        assert rc == 0
+        solo = read_csv_rows(tmp_path / "solo" / "grid.csv")
+        assert {r["seed"] for r in solo} == {"5"}
+        swept = [r for r in rows if r["seed"] == "5"]
+        assert ([(r["metric"], r["value"]) for r in swept]
+                == [(r["metric"], r["value"]) for r in solo])
 
     def test_failed_cell_marked(self, tmp_path):
         out = tmp_path / "grid"

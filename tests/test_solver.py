@@ -14,6 +14,7 @@ from tslto import (
     ablation_config,
     frobenius_norm,
     generate,
+    hard_threshold_l0,
     init_state,
     project_observed,
     solve,
@@ -24,7 +25,7 @@ from tslto import (
 )
 from tslto.solver import (
     TraceRow,
-    _r_smooth,
+    _r_gradient,
     admm_iteration,
     block_diff,
     block_diff_adjoint,
@@ -184,13 +185,19 @@ def _four_term_value(r, state):
     )
 
 
-def _smooth_at(r, state):
+def _gradient_at(r, state):
     state.r = r
-    return _r_smooth(state)
+    return _r_gradient(state)
 
 
-def _value_at(r, state):
-    return _smooth_at(r, state)[0]
+def _majorizer_excess(r, grad, out, lam, state):
+    """f(out) minus the majorizer f(r) + <grad, out - r> + ||out - r||^2/(2 lam)
+    of f = _four_term_value, with a tolerance for rounding."""
+    delta = out - r
+    f_r, f_out = _four_term_value(r, state), _four_term_value(out, state)
+    bound = (f_r + float(np.vdot(grad, delta))
+             + float(np.vdot(delta, delta)) / (2.0 * lam))
+    return f_out - bound, 1e-10 * (1.0 + abs(f_r) + abs(f_out))
 
 
 _r_dims = hst.tuples(hst.integers(2, 5), hst.integers(2, 5), hst.integers(1, 5))
@@ -199,44 +206,34 @@ _r_dims = hst.tuples(hst.integers(2, 5), hst.integers(2, 5), hst.integers(1, 5))
 class TestRSmooth:
     @settings(deadline=None)
     @given(_r_dims, hst.integers(0, 2**32 - 1))
-    def test_differs_from_four_terms_by_a_constant(self, dims, seed):
-        state = _random_r_state(dims, seed)
-        rng = np.random.default_rng(seed + 1)
-        r1, r2 = 3.0 * rng.standard_normal((2, *dims))
-        values = [_value_at(r, state) for r in (r1, r2)]
-        gaps = [v - _four_term_value(r, state) for v, r in zip(values, (r1, r2))]
-        scale = 1.0 + max(abs(v) for v in values)
-        assert abs(gaps[0] - gaps[1]) <= 1e-10 * scale
-
-    @settings(deadline=None)
-    @given(_r_dims, hst.integers(0, 2**32 - 1))
     def test_gradient_matches_central_differences(self, dims, seed):
         state = _random_r_state(dims, seed)
         rng = np.random.default_rng(seed + 1)
         r = rng.standard_normal(dims)
-        _, grad = _smooth_at(r, state)
+        grad = _gradient_at(r, state)
         assert grad.shape == dims
         h = 1e-3
         for _ in range(3):
             d = rng.standard_normal(dims)
-            fd = (_value_at(r + h * d, state) - _value_at(r - h * d, state)) / (2 * h)
+            fd = (_four_term_value(r + h * d, state)
+                  - _four_term_value(r - h * d, state)) / (2 * h)
             assert abs(fd - float(np.vdot(grad, d))) <= 1e-6 * (1.0 + abs(fd))
 
     @settings(deadline=None)
     @given(_r_dims, hst.integers(0, 2**32 - 1))
     def test_quadratic_expansion(self, dims, seed):
-        # update_R tests a trial step through this expansion, not _r_smooth
+        # the identity behind update_R's curvature test
         state = _random_r_state(dims, seed)
         rng = np.random.default_rng(seed + 1)
         r, delta = rng.standard_normal((2, *dims))
-        f0, grad = _smooth_at(r, state)
+        grad = _gradient_at(r, state)
+        f_r, f_next = _four_term_value(r, state), _four_term_value(r + delta, state)
         d_delta = block_diff(unfold(delta, 1))
-        model = f0 + float(np.vdot(grad, delta)) + 0.5 * (
-            state.gamma * float(np.vdot(d_delta, d_delta))
-            + state.s * float(np.vdot(delta, delta))
-        )
-        exact = _value_at(r + delta, state)
-        assert abs(model - exact) <= 1e-10 * (1.0 + abs(exact))
+        curvature = 0.5 * (state.gamma * float(np.vdot(d_delta, d_delta))
+                           + state.s * float(np.vdot(delta, delta)))
+        remainder = f_next - f_r - float(np.vdot(grad, delta))
+        assert abs(remainder - curvature) <= 1e-10 * (
+            1.0 + abs(f_r) + abs(f_next))
 
     @settings(deadline=None)
     @given(_r_dims, hst.integers(0, 2**32 - 1))
@@ -245,14 +242,12 @@ class TestRSmooth:
         rng = np.random.default_rng(seed + 1)
         state.r = rng.standard_normal(dims)
         state.prox_lam = 10.0  # long enough to need halvings
-        f0, grad = _r_smooth(state)
+        grad = _r_gradient(state)
         r = state.r
         out, lam = update_R(state, SolverConfig(mu1=0.1))
-        delta = out - r
-        quad = f0 + float(np.vdot(grad, delta)) + float(np.vdot(delta, delta)) / (
-            2.0 * lam
-        )
-        assert _value_at(out, state) <= quad + 1e-10 * (1.0 + abs(quad))
+        excess, tol = _majorizer_excess(r, grad, out, lam, state)
+        assert excess <= tol
+        state.r = out  # as admm_iteration stores it
         np.testing.assert_allclose(
             double_diff(state), block_diff(unfold(out, 1)),
             rtol=1e-10, atol=1e-10 * (1.0 + np.abs(out).max()),
@@ -459,6 +454,24 @@ class TestUpdateR:
         out, _ = update_R(st, SolverConfig(mu1=10.0))
         np.testing.assert_array_equal(out, np.zeros((2, 2, 2)))
 
+    @settings(deadline=None)
+    @given(_r_dims, hst.integers(0, 2**32 - 1))
+    def test_accepted_step_is_the_first_that_majorizes(self, dims, seed):
+        state = _random_r_state(dims, seed)
+        state.r = np.random.default_rng(seed + 1).standard_normal(dims)
+        state.prox_lam = 10.0
+        cfg = SolverConfig(mu1=0.1)
+        r = state.r
+        grad = _r_gradient(state)
+        out, lam = update_R(state, cfg)
+        excess, tol = _majorizer_excess(r, grad, out, lam, state)
+        assert excess <= tol
+        # s >= 0.5 > 1 / prox_lam: the first trial step is too long
+        assert lam < state.prox_lam
+        longer = lam / cfg.prox_rho
+        rejected = hard_threshold_l0(r - longer * grad, longer * cfg.mu1)
+        excess, tol = _majorizer_excess(r, grad, rejected, longer, state)
+        assert excess > -tol  # violated, up to rounding
 
     def test_exhausted_line_search_raises(self):
         # a step of 1e30 halved 50 times is still far too long to accept
