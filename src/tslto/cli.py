@@ -17,7 +17,8 @@ from dataclasses import asdict, fields
 
 from . import io as tio
 from .datagen import SyntheticInstance, SyntheticSpec, generate, sparsity_report
-from .metrics import DetectionRule, detection_metrics, imputation_metrics
+from .metrics import (DetectionRule, check_scope, detection_metrics,
+                      imputation_metrics)
 from .preprocess import (
     ScaleTransform,
     observation_mask_from_zeros,
@@ -71,6 +72,23 @@ def parse_value(key, text):
         raise UsageError(f"{key}: {exc}") from None
 
 
+# Range checks of the keys whose type alone does not make them valid.
+CHECKS = {
+    "scope": check_scope,
+    "detect_mode": lambda v: DetectionRule(mode=v).validate(),
+    "detect_threshold": lambda v: DetectionRule(threshold=v).validate(),
+}
+
+
+def check_values(values):
+    """UsageError naming the first key in CHECKS whose value is invalid."""
+    for key, check in CHECKS.items():
+        try:
+            check(values[key])
+        except ValueError as exc:
+            raise UsageError(f"{key}: {exc}") from None
+
+
 def resolve_config(args):
     """Merge defaults, config-file values, and command-line overrides."""
     values = dict(KEYS)
@@ -84,19 +102,27 @@ def resolve_config(args):
         override = getattr(args, key, None)
         if override is not None:
             values[key] = parse_value(key, override)
+    check_values(values)
     return values
+
+
+def _validated(obj):
+    """obj once its validate() passes; a ValueError is a UsageError."""
+    try:
+        obj.validate()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return obj
 
 
 def solver_config_from(values):
     kwargs = {f.name: values[f.name] for f in fields(SolverConfig)}
-    cfg = SolverConfig(**kwargs)
-    cfg.validate()
-    return cfg
+    return _validated(SolverConfig(**kwargs))
 
 
 def synthetic_spec_from(values):
     kwargs = {f.name: values[f.name] for f in fields(SyntheticSpec)}
-    return SyntheticSpec(**kwargs)
+    return _validated(SyntheticSpec(**kwargs))
 
 
 def _write_resolved(outdir, values):
@@ -143,12 +169,12 @@ def cmd_generate(args):
 
 def cmd_solve(args):
     values = resolve_config(args)
+    cfg = solver_config_from(values)
     y = tio.read_tsr3(args.input)
     mask = tio.read_mask(args.mask)
     outdir = _ensure_outdir(args)
     # only `tslto solve` writes trace.csv, so only it asks for trace rows
-    result = solve(y, mask, solver_config_from(values),
-                   trace_every=values["trace_every"])
+    result = solve(y, mask, cfg, trace_every=values["trace_every"])
     for name in ("x", "l", "r"):
         tio.write_tsr3(os.path.join(outdir, f"{name}.tsr3"), getattr(result, name))
     with open(os.path.join(outdir, "trace.csv"), "w", newline="") as f:
@@ -161,7 +187,6 @@ def cmd_solve(args):
 
 def _evaluate(values, truth, estimate, r, mask, anomaly_truth):
     rule = DetectionRule(values["detect_mode"], values["detect_threshold"])
-    rule.validate()  # also when there is no anomaly truth to score
     metrics = imputation_metrics(
         truth, estimate, scope=values["scope"], mask=mask,
         anomaly_truth=anomaly_truth,
@@ -239,11 +264,11 @@ def _read_scored_inputs(input, mask, truth, anomaly_truth):
 
 def cmd_ablate(args):
     values = resolve_config(args)
+    base = solver_config_from(values)
     y, mask, truth, anomaly_truth = _read_scored_inputs(
         args.input, args.mask, args.truth, args.anomaly_truth
     )
     outdir = _ensure_outdir(args)
-    base = solver_config_from(values)
     rows = []
     for variant in ABLATION_VARIANTS:
         result = solve(y, mask, ablation_config(base, variant))
@@ -267,6 +292,18 @@ def _grid_cell(cell, input_files):
         anomaly_truth = inst.anomaly_truth
     result = solve(y, mask, solver_config_from(cell))
     return _evaluate(cell, truth, result.x, result.r, mask, anomaly_truth)
+
+
+def _check_cell(cell, synthetic):
+    """UsageError unless the cell's config, and its instance when it is
+    synthetic, are valid and its scope selects entries of that instance."""
+    check_values(cell)
+    solver_config_from(cell)
+    if synthetic:
+        synthetic_spec_from(cell)
+        if cell["scope"] == "missing" and cell["missing_rate"] == 0:
+            raise UsageError("scope 'missing' selects no entries when "
+                             "missing_rate is 0")
 
 
 def _call_each(calls):
@@ -325,8 +362,16 @@ def cmd_grid(args):
         if "seed" not in (key1, key2):
             cell["seed"] = values["seed"] ^ idx
         cells.append(cell)
-    runs = [functools.partial(_grid_cell, cell, input_files) for cell in cells]
     jobs = min(_job_count(args.jobs), len(cells), os.cpu_count() or 1)
+    for idx, ((v1, v2), cell) in enumerate(zip(pairs, cells)):
+        try:
+            _check_cell(cell, input_files is None)
+        except UsageError as exc:
+            swept = f"{key1}={_fmt(v1)}"
+            if key2:
+                swept += f", {key2}={_fmt(v2)}"
+            raise UsageError(f"grid cell {idx} ({swept}): {exc}") from None
+    runs = [functools.partial(_grid_cell, cell, input_files) for cell in cells]
     outdir = _ensure_outdir(args)
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -22,18 +22,23 @@ class DetectionRule:
             raise ValueError("detection threshold must be nonnegative")
 
 
+def check_scope(scope):
+    """Raise ValueError unless scope is one of SCOPES."""
+    if scope not in SCOPES:
+        raise ValueError(f"unknown scope {scope!r}; expected one of {SCOPES}")
+
+
 def _scope_mask(scope, shape, mask, anomaly_truth):
+    check_scope(scope)
     if scope == "all":
         return np.ones(shape, dtype=bool)
     if scope == "missing":
         if mask is None:
             raise ValueError("missing-only scope needs the observation mask")
         return ~np.asarray(mask, dtype=bool)
-    if scope == "non_anomalous":
-        if anomaly_truth is None:
-            raise ValueError("non-anomalous scope needs the anomaly truth mask")
-        return ~np.asarray(anomaly_truth, dtype=bool)
-    raise ValueError(f"unknown scope {scope!r}; expected one of {SCOPES}")
+    if anomaly_truth is None:
+        raise ValueError("non-anomalous scope needs the anomaly truth mask")
+    return ~np.asarray(anomaly_truth, dtype=bool)
 
 
 def imputation_metrics(truth, estimate, scope="all", mask=None, anomaly_truth=None):

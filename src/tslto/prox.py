@@ -15,14 +15,15 @@ def _check_weight(t):
     return t
 
 
-def hard_threshold_l0(x, t):
+def hard_threshold_l0(x, t, out=None):
     """Entrywise hard threshold: zero where x**2 <= 2*t, keep otherwise.
 
-    Minimizes t * ||z||_0 + 0.5 * ||z - x||_F**2 entrywise.
+    Minimizes t * ||z||_0 + 0.5 * ||z - x||_F**2 entrywise.  out=x
+    thresholds x in place.
     """
     t = _check_weight(t)
     x = np.asarray(x, dtype=float)
-    return x * (x * x > 2.0 * t)
+    return np.multiply(x, x * x > 2.0 * t, out=out)
 
 
 def group_hard_threshold_l20(m, t):

@@ -12,6 +12,14 @@ each iteration up to a cap.
 Every tensor-sized block (X, L, R, P, Z, W) is kept column-major, the layout
 of `tucker_reconstruct`'s output, so that the mode-1 unfolding and folding
 are views and no elementwise update mixes memory layouts.
+
+A solve holds only the tensors it still reads.  X equals the observations on
+the mask, so `solve` keeps no copy of y (a row-major y is copied once, for
+`init_state`, and released); X, G, R and L are each released as they are
+replaced, their relative changes taken then; and the R trial thresholds in
+place.  At its peak, inside `update_R`, a solve holds 11 tensor-sized
+arrays: X, L, R, P, Z, W and the kept D R, plus R's gradient, the candidate,
+the step delta and delta's row difference (and the column-major mask).
 """
 
 from collections import namedtuple
@@ -131,9 +139,15 @@ class SolveResult:
     converged: bool = False
 
 
+def column_diff(m):
+    """Consecutive-column differences (M @ T_r.T): column j of the result
+    is m[:, j] - m[:, j+1]."""
+    return toeplitz_diff(m.T).T
+
+
 def block_diff(m):
     """Row differences followed by column differences (T_l @ M @ T_r.T)."""
-    return toeplitz_diff(toeplitz_diff(m).T).T
+    return column_diff(toeplitz_diff(m))
 
 
 def block_diff_adjoint(m):
@@ -233,7 +247,8 @@ def update_X(state, y, mask):
 
     The result is column-major when y and mask are (see :func:`solve`).
     """
-    free = state.l + state.r - state.p / state.s
+    free = state.l + state.r
+    free -= state.p / state.s
     return np.where(mask, y, free)
 
 
@@ -310,20 +325,24 @@ def update_R(state, cfg):
     grad = _r_gradient(state)
     lam = state.prox_lam
     for _ in range(R_MAX_HALVINGS):
-        trial = grad * -lam  # r - lam * grad, in one temporary
-        trial += r
-        candidate = hard_threshold_l0(trial, lam * cfg.mu1)
-        del trial
+        candidate = grad * -lam  # r - lam * grad, thresholded in place
+        candidate += r
+        hard_threshold_l0(candidate, lam * cfg.mu1, out=candidate)
         delta = candidate - r
-        d_delta = block_diff(unfold(delta, 1))
         sq = frobenius_inner(delta, delta)
+        # D delta = block_diff(unfold(delta, 1)), with delta released before
+        # the column difference (peak memory)
+        rows = toeplitz_diff(unfold(delta, 1))
+        del delta
+        d_delta = column_diff(rows)
+        del rows
         if (state.gamma * frobenius_inner(d_delta, d_delta) + state.s * sq
                 <= sq / lam):
             d_delta += double_diff(state)
             state._double_diff = (candidate, d_delta)
             return candidate, lam
         # freed before the next trial builds its own (peak memory)
-        del candidate, delta, d_delta
+        del candidate, d_delta
         lam *= cfg.prox_rho
     raise SolverDivergenceError(
         "proximal line search for the anomaly block exhausted "
@@ -384,14 +403,14 @@ def _relative_change(prev, cur):
     return diff / denom if denom > 0 else diff
 
 
-def check_convergence(prev_blocks, cur_blocks, eps):
+def check_convergence(changes, eps):
     """All four relative block changes (X, G, L, R) below eps.
 
-    A zero-norm previous block falls back to absolute change.
+    The changes are those :func:`admm_iteration` returns, each taken by
+    :func:`_relative_change`, where a zero-norm previous block falls back to
+    absolute change.
     """
-    return all(
-        _relative_change(p, c) < eps for p, c in zip(prev_blocks, cur_blocks)
-    )
+    return all(change < eps for change in changes)
 
 
 def model_objective(state, cfg):
@@ -407,16 +426,41 @@ def model_objective(state, cfg):
     )
 
 
-def admm_iteration(state, y, mask, cfg):
-    """One outer iteration: the eight block updates, in order, on state."""
-    state.x = update_X(state, y, mask)
-    state.g = update_G(state)
+def _replace(state, name, block):
+    """Store `block` as state.<name>; returns its relative change.
+
+    Raises SolverDivergenceError when the block is not finite.  The replaced
+    block is released on return, so it never outlives its update.
+    """
+    change = _relative_change(getattr(state, name), block)
+    # a non-finite entry makes the change non-finite (its difference with
+    # the old block is not finite, and norms do not cancel), so only then is
+    # the block checked entrywise
+    if not np.isfinite(change) and not np.all(np.isfinite(block)):
+        raise SolverDivergenceError(
+            f"non-finite state at outer iteration {state.iter}"
+        )
+    setattr(state, name, block)
+    return change
+
+
+def admm_iteration(state, mask, cfg):
+    """One outer iteration: the eight block updates, in order, on state.
+
+    X equals the observations on the mask from :func:`init_state` on, so
+    update_X reads them from X itself.  Returns the relative changes of X,
+    G, L and R, each taken as the block is replaced.
+    """
+    rel_x = _replace(state, "x", update_X(state, state.x, mask))
+    rel_g = _replace(state, "g", update_G(state))
     state.u1, state.u2, state.u3 = update_U(state, cfg)
-    state.r, state.prox_lam = update_R(state, cfg)
-    state.l = update_L(state, cfg)
+    r, state.prox_lam = update_R(state, cfg)
+    rel_r = _replace(state, "r", r)
+    rel_l = _replace(state, "l", update_L(state, cfg))
     state.y1, state.y2, state.y3 = update_Y(state, cfg)
     state.z = update_Z(state, cfg)
     state.v1, state.v2, state.v3, state.w, state.p = update_multipliers(state)
+    return rel_x, rel_g, rel_l, rel_r
 
 
 def solve(y, mask, cfg, trace_every=0):
@@ -424,30 +468,22 @@ def solve(y, mask, cfg, trace_every=0):
 
     trace_every > 0 records a :class:`TraceRow` on the first and last
     iterations and every that many in between.
-    y and mask are copied to column-major order unless they already are.
+    mask is copied to column-major order unless it already is.  y is read
+    only by :func:`init_state`, which makes a transient column-major copy of
+    a row-major y; from then on X holds the observations.
     """
-    y = np.asfortranarray(y, dtype=float)
     mask = np.asfortranarray(mask, dtype=bool)
     state = init_state(y, mask, cfg)
     trace = []
     converged = False
     for k in range(1, cfg.max_outer + 1):
         state.iter = k
-        prev_blocks = (state.x, state.g, state.l, state.r)
-        admm_iteration(state, y, mask, cfg)
-        cur_blocks = (state.x, state.g, state.l, state.r)
-        if not all(np.all(np.isfinite(b)) for b in cur_blocks):
-            raise SolverDivergenceError(
-                f"non-finite state at outer iteration {k}"
-            )
-        converged = k > 1 and check_convergence(prev_blocks, cur_blocks, cfg.eps)
+        changes = admm_iteration(state, mask, cfg)
+        converged = k > 1 and check_convergence(changes, cfg.eps)
         last = converged or k == cfg.max_outer
         if trace_every and (k % trace_every == 0 or k == 1 or last):
-            rel_changes = (
-                _relative_change(p, c) for p, c in zip(prev_blocks, cur_blocks)
-            )
             trace.append(TraceRow(k, model_objective(state, cfg),
-                                  *state.residuals(), *rel_changes))
+                                  *state.residuals(), *changes))
         if converged:
             break
 

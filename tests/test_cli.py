@@ -18,6 +18,12 @@ GEN_FLAGS = [
     "--seed", "5",
 ]
 SOLVE_FLAGS = ["--ranks", "2,2,2", "--max-outer", "15", "--trace-every", "5"]
+# scoring flags outside their range, with the key each error names
+BAD_EVAL_FLAGS = [
+    (["--detect-mode", "blocks"], "detect_mode"),
+    (["--scope", "bogus"], "scope"),
+    (["--detect-threshold", "-1"], "detect_threshold"),
+]
 
 
 def generate_instance(outdir):
@@ -68,6 +74,23 @@ class TestKeys:
         rc = main(["generate", "--out", str(tmp_path / "g")] + flags)
         assert rc == 1
         assert f"error: {key}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("generate", ["--missing-rate", "1.5"], "missing_rate must lie"),
+        ("solve", ["--prox-rho", "2"], "prox_rho must lie in (0, 1)"),
+    ])
+    def test_out_of_range_value_is_usage_error(self, tmp_path, capsys,
+                                               command, flags, message):
+        inputs = []
+        if command == "solve":
+            write_tsr3(tmp_path / "y.tsr3", np.ones((3, 3, 3)))
+            write_mask(tmp_path / "mask.tsr3", np.ones((3, 3, 3), bool))
+            inputs = ["--input", str(tmp_path / "y.tsr3"),
+                      "--mask", str(tmp_path / "mask.tsr3")]
+        rc = main([command, "--out", str(tmp_path / "out")] + inputs + flags)
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_config_line_is_usage_error(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.txt"
@@ -220,8 +243,22 @@ class TestEvaluate:
         assert int(row["n"]) == x.size
         assert row["precision"] == row["recall"] == row["f1"] == ""
         # the detection rule is still checked
-        assert main(argv + ["--detect-mode", "blocks"]) == 2
-        assert "unknown detection mode 'blocks'" in capsys.readouterr().err
+        assert main(argv + ["--detect-mode", "blocks"]) == 1
+        assert ("error: detect_mode: unknown detection mode 'blocks'"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("flags, key", BAD_EVAL_FLAGS)
+    def test_bad_scoring_value_is_usage_error(self, tmp_path, capsys, flags,
+                                              key):
+        x = np.ones((2, 2, 2))
+        write_tsr3(tmp_path / "x.tsr3", x)
+        rc = main(["evaluate", "--truth", str(tmp_path / "x.tsr3"),
+                   "--estimate", str(tmp_path / "x.tsr3"),
+                   "--anomaly", str(tmp_path / "x.tsr3"),
+                   "--metrics-out", str(tmp_path / "m.csv")] + flags)
+        assert rc == 1
+        assert f"error: {key}: " in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
 
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         x = np.ones((2, 2, 2))
@@ -298,6 +335,19 @@ class TestAblate:
                    "--max-outer", "5", "--scope", "missing", *extra])
         assert rc == 0
         return out
+
+    @pytest.mark.parametrize("flags, key", BAD_EVAL_FLAGS)
+    def test_bad_scoring_value_is_usage_error(self, tmp_path, capsys, flags,
+                                              key):
+        gen = generate_instance(tmp_path / "gen")
+        rc = main(["ablate", "--input", str(gen / "full.tsr3"),
+                   "--mask", str(gen / "mask.tsr3"),
+                   "--truth", str(gen / "lowrank.tsr3"),
+                   "--anomaly-truth", str(gen / "anomaly_truth.tsr3"),
+                   "--out", str(tmp_path / "abl")] + flags)
+        assert rc == 1
+        assert f"error: {key}: " in capsys.readouterr().err
+        assert not (tmp_path / "abl").exists()
 
     def test_all_variants_reported(self, tmp_path):
         rows = read_csv_rows(self.run_ablate(tmp_path) / "ablation.csv")
@@ -445,6 +495,45 @@ class TestGrid:
         ]
         assert {r["metric"] for r in by_cell["0"]} >= {"rmse", "f1"}
         assert all(not r["error"] for r in by_cell["0"])
+
+    def test_readme_seed_sweep(self, tmp_path):
+        # README's `tslto grid --grid-key1 seed --grid-values1 "1;2;3"
+        # --missing-rate 0.3 --out seeds`, at small dims
+        rc = main(["grid", "--grid-key1", "seed", "--grid-values1", "1;2;3",
+                   "--missing-rate", "0.3", "--out", str(tmp_path / "seeds")]
+                  + GEN_FLAGS[:-4] + SOLVE_FLAGS[:4])
+        assert rc == 0
+        rows = read_csv_rows(tmp_path / "seeds" / "grid.csv")
+        assert {r["seed"] for r in rows} == {"1", "2", "3"}
+        assert {r["metric"] for r in rows} >= {"rmse", "f1"}
+        assert all(r["error"] == "" for r in rows)
+
+    @pytest.mark.parametrize("flags, named", [
+        # the default missing_rate is 0: no entry is missing to score
+        (["--grid-key1", "seed", "--grid-values1", "1;2;3"],
+         "grid cell 0 (seed=1): scope 'missing' selects no entries"),
+        (["--grid-key1", "prox_rho", "--grid-values1", "0.5;2",
+          "--missing-rate", "0.3"],
+         "grid cell 1 (prox_rho=2.0): prox_rho must lie in (0, 1)"),
+        (["--grid-key1", "mu1", "--grid-values1", "2",
+          "--grid-key2", "missing_rate", "--grid-values2", "0.3;1.5"],
+         "grid cell 1 (mu1=2.0, missing_rate=1.5): missing_rate must lie"),
+        (["--grid-key1", "scope", "--grid-values1", "all;bogus"],
+         "grid cell 1 (scope=bogus): scope: unknown scope 'bogus'"),
+        (["--grid-key1", "mu1", "--grid-values1", "2;5",
+          "--missing-rate", "0.3", "--detect-mode", "blocks"],
+         "detect_mode: unknown detection mode 'blocks'"),
+    ])
+    def test_invalid_cell_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                         flags, named):
+        solved = []
+        monkeypatch.setattr(cli, "solve", lambda *a, **k: solved.append(a))
+        rc = main(["grid", "--out", str(tmp_path / "g")] + flags
+                  + GEN_FLAGS[:-4] + SOLVE_FLAGS[:4])
+        assert rc == 1
+        assert f"error: {named}" in capsys.readouterr().err
+        assert solved == []
+        assert not (tmp_path / "g").exists()
 
     def test_malformed_grid_value_is_usage_error(self, tmp_path, capsys):
         rc = main(["grid", "--grid-key1", "mu1", "--grid-values1", "2;x",

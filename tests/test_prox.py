@@ -76,6 +76,16 @@ class TestHardThresholdL0:
         with pytest.raises(ValueError):
             hard_threshold_l0(np.zeros(3), -1.0)
 
+    @given(hst.one_of(MATRICES, MATRICES.map(np.asfortranarray)), WEIGHTS)
+    def test_in_place_matches_allocating(self, x, t):
+        # signed zeros included: a negative entry thresholded away is -0.0
+        x[0, 0] = -0.0
+        expected = hard_threshold_l0(x, t)
+        out = hard_threshold_l0(x, t, out=x)
+        assert out is x
+        assert out.tobytes(order="A") == expected.tobytes(order="A")
+        np.testing.assert_array_equal(np.signbit(out), np.signbit(expected))
+
 
 class TestGroupHardThresholdL20:
     def test_zero_weight_identity(self):

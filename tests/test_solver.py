@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,6 +27,7 @@ from tslto import (
 from tslto.solver import (
     TraceRow,
     _r_gradient,
+    _relative_change,
     admm_iteration,
     block_diff,
     block_diff_adjoint,
@@ -289,7 +291,7 @@ class TestLayout:
         cfg = SolverConfig(ranks=(2, 2, 2), max_outer=10, eps=1e-12)
         state = init_state(y, mask, cfg)
         state.iter = 1
-        admm_iteration(state, y, mask, cfg)
+        admm_iteration(state, mask, cfg)
         for name in ("x", "l", "r", "p", "z", "w"):
             assert getattr(state, name).flags.f_contiguous, name
 
@@ -584,28 +586,66 @@ class TestMultipliers:
         np.testing.assert_array_equal(p, st.p)
 
 
+def _changes(prev_blocks, cur_blocks):
+    return [_relative_change(p, c) for p, c in zip(prev_blocks, cur_blocks)]
+
+
 class TestConvergence:
     def test_identical_states(self):
         blocks = tuple(np.random.default_rng(19).standard_normal((3, 3, 3))
                        for _ in range(4))
-        assert check_convergence(blocks, blocks, 1e-12)
+        assert check_convergence(_changes(blocks, blocks), 1e-12)
 
     def test_ten_percent_change(self):
         x = np.ones((3, 3, 3))
         prev = (x, x, x, x)
         cur = (1.1 * x, x, x, x)
-        assert not check_convergence(prev, cur, 1e-4)
+        assert not check_convergence(_changes(prev, cur), 1e-4)
 
     def test_small_r_change_passes(self):
         x = np.ones((3, 3, 3))
         prev = (x, x, x, x)
         cur = (x, x, x, (1 + 5e-5) * x)
-        assert check_convergence(prev, cur, 1e-4)
+        assert check_convergence(_changes(prev, cur), 1e-4)
 
     def test_zero_norm_fallback(self):
         z = np.zeros((2, 2, 2))
-        assert check_convergence((z,), (z,), 1e-8)
-        assert not check_convergence((z,), (z + 1.0,), 1e-8)
+        assert check_convergence(_changes((z,), (z,)), 1e-8)
+        assert _relative_change(z, z + 1.0) == np.sqrt(8.0)
+        assert not check_convergence(_changes((z,), (z + 1.0,)), 1e-8)
+
+
+def _reference_stops(y, mask, cfg, trace_every):
+    """Stop decisions of the loop spelled out: it keeps the previous X, G, L
+    and R through the iteration and compares them afterwards.  Returns the
+    (iter, rel_x, rel_g, rel_l, rel_r) rows at solve's trace iterations,
+    the iteration count and whether the loop converged."""
+    mask = np.asfortranarray(mask, dtype=bool)
+    y = np.asfortranarray(y, dtype=float)
+    state = init_state(y, mask, cfg)
+    rows = []
+    for k in range(1, cfg.max_outer + 1):
+        state.iter = k
+        prev = (state.x, state.g, state.l, state.r)
+        state.x = update_X(state, y, mask)
+        state.g = update_G(state)
+        state.u1, state.u2, state.u3 = update_U(state, cfg)
+        state.r, state.prox_lam = update_R(state, cfg)
+        state.l = update_L(state, cfg)
+        state.y1, state.y2, state.y3 = update_Y(state, cfg)
+        state.z = update_Z(state, cfg)
+        (state.v1, state.v2, state.v3,
+         state.w, state.p) = update_multipliers(state)
+        changes = _changes(prev, (state.x, state.g, state.l, state.r))
+        converged = k > 1 and all(c < cfg.eps for c in changes)
+        if k % trace_every == 0 or k == 1 or converged or k == cfg.max_outer:
+            rows.append((k, *changes))
+        if converged:
+            break
+        state.alpha = np.minimum(state.alpha * cfg.growth, cfg.penalty_cap)
+        state.gamma = min(state.gamma * cfg.growth, cfg.penalty_cap)
+        state.s = min(state.s * cfg.growth, cfg.penalty_cap)
+    return rows, k, converged
 
 
 class TestSolve:
@@ -678,6 +718,54 @@ class TestSolve:
         assert untraced.objective == res.objective
         assert untraced.residuals == res.residuals
 
+    @pytest.mark.parametrize("eps, max_outer, off_mask", [
+        (1e-2, 200, None),  # meets eps at iteration 34
+        (1e-12, 20, np.nan),  # NaN and one inf off the mask
+    ])
+    def test_same_stop_decisions_as_the_spelled_out_loop(self, eps, max_outer,
+                                                         off_mask):
+        inst = generate(SyntheticSpec(dims=(20, 20, 20), block_count=10,
+                                      block_cols=40, missing_rate=0.3, seed=4))
+        if off_mask is None:
+            y = project_observed(inst.full, inst.mask)
+        else:
+            y = np.where(inst.mask, inst.full, off_mask)
+            y[tuple(np.argwhere(~inst.mask)[0])] = np.inf
+        cfg = SolverConfig(max_outer=max_outer, eps=eps)
+        res = solve(y, inst.mask, cfg, trace_every=3)
+        rows, iterations, converged = _reference_stops(y, inst.mask, cfg, 3)
+        assert (res.iterations, res.converged) == (iterations, converged)
+        assert converged == (off_mask is None)
+        got = [(row.iter, row.rel_x, row.rel_g, row.rel_l, row.rel_r)
+               for row in res.trace]
+        # bitwise: equal floats, not approximately equal ones
+        assert got == rows
+
+    def test_holds_only_live_tensors(self):
+        # At its peak, inside update_R, a solve holds X, L, R, P, Z, W and
+        # D R, plus R's gradient, its candidate, the step delta and delta's
+        # row difference: 11 tensor-sized arrays and the column-major mask.
+        # y is row-major, so a solve that kept a column-major copy of it
+        # would hold one more.
+        inst = generate(SyntheticSpec(dims=(60, 50, 40), block_count=10,
+                                      block_cols=40, missing_rate=0.3, seed=1))
+        y = project_observed(inst.full, inst.mask)
+        assert y.flags.c_contiguous and not y.flags.f_contiguous
+        cfg = SolverConfig(max_outer=6)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            res = solve(y, inst.mask, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert res.iterations == 6
+        assert (peak - start) / y.nbytes <= 11.5
+
     def test_non_finite_state_raises(self, monkeypatch):
         monkeypatch.setattr("tslto.solver.update_L",
                             lambda state, cfg: np.full(state.l.shape, np.nan))
@@ -685,6 +773,22 @@ class TestSolve:
         with pytest.raises(SolverDivergenceError,
                            match="non-finite state at outer iteration 1"):
             solve(y, np.ones(y.shape, bool), SolverConfig(ranks=(2, 2, 2)))
+
+    def test_one_infinite_entry_raises(self, monkeypatch):
+        # the entrywise check runs only when the relative change is not
+        # finite; one inf in G must still make it so
+        def update_G(state):
+            g = tucker_reconstruct(state.l, state.u1.T, state.u2.T, state.u3.T)
+            if state.iter == 3:
+                g[0, 1, 0] = np.inf
+            return g
+
+        monkeypatch.setattr("tslto.solver.update_G", update_G)
+        y, _, _ = exact_tucker_tensor(25, dims=(6, 6, 6))
+        with pytest.raises(SolverDivergenceError,
+                           match="non-finite state at outer iteration 3"):
+            solve(y, np.ones(y.shape, bool),
+                  SolverConfig(ranks=(2, 2, 2), eps=1e-30))
 
     def test_non_finite_unobserved_entries_stay_out_of_the_state(self):
         # update_X merges with np.where, so NaN and inf off the mask never
