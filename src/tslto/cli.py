@@ -392,6 +392,11 @@ def cmd_grid(args):
                 if metric in out:
                     w.writerow(base + [metric, out[metric], ""])
     _write_resolved(outdir, values)
+    if all(isinstance(out, Exception) for out in outcomes):
+        first = outcomes[0]
+        print(f"error: every grid cell failed; cell 0: "
+              f"{type(first).__name__}: {first}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -15,15 +15,18 @@ def _check_weight(t):
     return t
 
 
-def hard_threshold_l0(x, t, out=None):
+def hard_threshold_l0(x, t, out=None, scratch=None):
     """Entrywise hard threshold: zero where x**2 <= 2*t, keep otherwise.
 
     Minimizes t * ||z||_0 + 0.5 * ||z - x||_F**2 entrywise.  out=x
-    thresholds x in place.
+    thresholds x in place.  scratch, a float array of x's shape, holds the
+    comparison (1.0 where kept) instead of a new boolean array; x times it
+    is bitwise x times the boolean.
     """
     t = _check_weight(t)
     x = np.asarray(x, dtype=float)
-    return np.multiply(x, x * x > 2.0 * t, out=out)
+    keep = np.greater(np.multiply(x, x, out=scratch), 2.0 * t, out=scratch)
+    return np.multiply(x, keep, out=out)
 
 
 def group_hard_threshold_l20(m, t):

@@ -54,8 +54,12 @@ def fold(m, mode, dims):
     return t.transpose(_FOLD_AXES[mode])
 
 
-def mode_n_product(x, a, mode):
-    """Mode-n product X x_n A; replaces dimension D_n by A.shape[0]."""
+def mode_n_product(x, a, mode, out=None):
+    """Mode-n product X x_n A; replaces dimension D_n by A.shape[0].
+
+    out, when given, receives the product; its mode-n unfolding must be a
+    view (as it is for mode 3 of a column-major tensor).
+    """
     _check_mode(mode)
     x = np.asarray(x)
     a = np.asarray(a)
@@ -66,7 +70,14 @@ def mode_n_product(x, a, mode):
         )
     dims = list(x.shape)
     dims[mode - 1] = a.shape[0]
-    return fold(a @ unfold(x, mode), mode, dims)
+    if out is None:
+        return fold(a @ unfold(x, mode), mode, dims)
+    target = unfold(out, mode)
+    if out.shape != tuple(dims) or not np.may_share_memory(target, out):
+        raise ValueError(f"out must be a {tuple(dims)} tensor whose mode-{mode} "
+                         "unfolding is a view")
+    np.matmul(a, unfold(x, mode), out=target)
+    return out
 
 
 def mode_gram(x, mode):
@@ -80,11 +91,14 @@ def mode_gram(x, mode):
     return a @ a.T
 
 
-def tucker_reconstruct(g, u1, u2, u3):
-    """Reconstruct G x_1 U1 x_2 U2 x_3 U3 from a core tensor and factors."""
-    out = mode_n_product(g, u1, 1)
-    out = mode_n_product(out, u2, 2)
-    return mode_n_product(out, u3, 3)
+def tucker_reconstruct(g, u1, u2, u3, out=None):
+    """Reconstruct G x_1 U1 x_2 U2 x_3 U3 from a core tensor and factors.
+
+    out, a column-major tensor, receives the last mode product.
+    """
+    t = mode_n_product(g, u1, 1)
+    t = mode_n_product(t, u2, 2)
+    return mode_n_product(t, u3, 3, out=out)
 
 
 def project_observed(x, mask):
@@ -96,26 +110,30 @@ def project_observed(x, mask):
     return np.where(mask, x, 0.0)
 
 
-def toeplitz_diff(m):
+def toeplitz_diff(m, out=None):
     """Consecutive-row differences: row j of the result is m[j] - m[j+1].
 
     Applies the (n-1) x n banded [1, -1] difference matrix without
-    materializing it.
+    materializing it.  out, when given, receives the result.
     """
     m = np.asarray(m)
     if m.shape[0] < 2:
         raise ValueError("toeplitz_diff needs at least two rows")
-    return m[:-1] - m[1:]
+    return np.subtract(m[:-1], m[1:], out=out)
 
 
-def toeplitz_diff_adjoint(m):
-    """Adjoint (transpose) of :func:`toeplitz_diff`: maps (n-1) x c to n x c."""
+def toeplitz_diff_adjoint(m, out=None):
+    """Adjoint (transpose) of :func:`toeplitz_diff`: maps (n-1) x c to n x c.
+
+    out, when given, receives the result.
+    """
     m = np.asarray(m)
-    out = np.empty(
-        (m.shape[0] + 1, m.shape[1]),
-        dtype=np.result_type(m, float),
-        order="F" if np.isfortran(m) else "C",
-    )
+    if out is None:
+        out = np.empty(
+            (m.shape[0] + 1, m.shape[1]),
+            dtype=np.result_type(m, float),
+            order="F" if np.isfortran(m) else "C",
+        )
     # out[-1] = -m[-1], not np.negative(m[-1], out=out[-1]): numpy 2.4.6 writes
     # wrong values through the latter when both rows are strided views of
     # column-major arrays (seen with 8-row inputs)

@@ -457,6 +457,21 @@ class TestGrid:
         assert any(r["error"] for r in by_cell["1"])  # ranks 40 > dims
         assert all(not r["error"] for r in by_cell["0"])
 
+    def test_every_cell_failed_exits_2(self, tmp_path, capsys):
+        # ranks above the dims pass the cell checks and fail at solve time
+        out = tmp_path / "grid"
+        rc = main(["grid", "--grid-key1", "ranks", "--grid-values1", "30;40",
+                   "--out", str(out), "--seed", "9"]
+                  + GEN_FLAGS[:-2] + SOLVE_FLAGS[2:])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: every grid cell failed; cell 0: ValueError: ranks "
+            "(30, 30, 30) exceed tensor dims (12, 10, 8)\n")
+        rows = read_csv_rows(out / "grid.csv")
+        assert [(r["cell"], bool(r["error"])) for r in rows] == [
+            ("0", True), ("1", True)]
+        assert (out / "config_resolved.txt").exists()
+
     def test_failed_cell_marked_in_pool(self, tmp_path, monkeypatch):
         # A stand-in pool runs cells inline and, like a real executor, keeps
         # a cell's exception in its future.

@@ -81,6 +81,9 @@ class TestHardThresholdL0:
         # signed zeros included: a negative entry thresholded away is -0.0
         x[0, 0] = -0.0
         expected = hard_threshold_l0(x, t)
+        # a float scratch for the comparison gives the same bytes
+        scratched = hard_threshold_l0(x, t, scratch=np.empty_like(x))
+        assert scratched.tobytes() == expected.tobytes()
         out = hard_threshold_l0(x, t, out=x)
         assert out is x
         assert out.tobytes(order="A") == expected.tobytes(order="A")

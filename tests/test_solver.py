@@ -619,7 +619,8 @@ def _reference_stops(y, mask, cfg, trace_every):
     """Stop decisions of the loop spelled out: it keeps the previous X, G, L
     and R through the iteration and compares them afterwards.  Returns the
     (iter, rel_x, rel_g, rel_l, rel_r) rows at solve's trace iterations,
-    the iteration count and whether the loop converged."""
+    the iteration count, whether the loop converged, and the final X, L
+    and R."""
     mask = np.asfortranarray(mask, dtype=bool)
     y = np.asfortranarray(y, dtype=float)
     state = init_state(y, mask, cfg)
@@ -645,7 +646,7 @@ def _reference_stops(y, mask, cfg, trace_every):
         state.alpha = np.minimum(state.alpha * cfg.growth, cfg.penalty_cap)
         state.gamma = min(state.gamma * cfg.growth, cfg.penalty_cap)
         state.s = min(state.s * cfg.growth, cfg.penalty_cap)
-    return rows, k, converged
+    return rows, k, converged, (state.x, state.l, state.r)
 
 
 class TestSolve:
@@ -733,20 +734,26 @@ class TestSolve:
             y[tuple(np.argwhere(~inst.mask)[0])] = np.inf
         cfg = SolverConfig(max_outer=max_outer, eps=eps)
         res = solve(y, inst.mask, cfg, trace_every=3)
-        rows, iterations, converged = _reference_stops(y, inst.mask, cfg, 3)
+        rows, iterations, converged, blocks = _reference_stops(
+            y, inst.mask, cfg, 3)
         assert (res.iterations, res.converged) == (iterations, converged)
         assert converged == (off_mask is None)
         got = [(row.iter, row.rel_x, row.rel_g, row.rel_l, row.rel_r)
                for row in res.trace]
         # bitwise: equal floats, not approximately equal ones
         assert got == rows
+        # solve writes into its workspace and X only off the mask; the
+        # spelled-out loop allocates every block
+        for got_block, want in zip((res.x, res.l, res.r), blocks):
+            assert np.array_equal(got_block, want)
 
     def test_holds_only_live_tensors(self):
-        # At its peak, inside update_R, a solve holds X, L, R, P, Z, W and
-        # D R, plus R's gradient, its candidate, the step delta and delta's
-        # row difference: 11 tensor-sized arrays and the column-major mask.
-        # y is row-major, so a solve that kept a column-major copy of it
-        # would hold one more.
+        # A solve holds X, L, R, P, Z, W and D R, plus its workspace: the
+        # spare tensor, R's gradient and two scratch buffers, 11
+        # tensor-sized arrays, and the index of the unobserved entries (0.3
+        # of a tensor here).  Trace rows and the final evaluation write into
+        # the workspace.  y is row-major, so a solve that kept a
+        # column-major copy of it would hold one more.
         inst = generate(SyntheticSpec(dims=(60, 50, 40), block_count=10,
                                       block_cols=40, missing_rate=0.3, seed=1))
         y = project_observed(inst.full, inst.mask)
@@ -756,15 +763,48 @@ class TestSolve:
         if not tracing:
             tracemalloc.start()
         try:
-            tracemalloc.reset_peak()
-            start = tracemalloc.get_traced_memory()[0]
-            res = solve(y, inst.mask, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
+            for trace_every in (0, 1):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                res = solve(y, inst.mask, cfg, trace_every=trace_every)
+                peak = tracemalloc.get_traced_memory()[1]
+                assert res.iterations == 6
+                assert (peak - start) / y.nbytes <= 11.5, trace_every
+                del res
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert res.iterations == 6
-        assert (peak - start) / y.nbytes <= 11.5
+
+    def test_steady_iteration_allocates_no_tensor(self):
+        # From the second iteration on, every block writes into the
+        # workspace or into itself: no tensor-sized array is allocated, so
+        # none is freed and the heap neither grows nor shrinks.
+        inst = generate(SyntheticSpec(dims=(60, 50, 40), block_count=10,
+                                      block_cols=40, missing_rate=0.3, seed=1))
+        y = project_observed(inst.full, inst.mask)
+        cfg = SolverConfig(max_outer=6)
+        state = init_state(y, inst.mask, cfg)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            for k in range(1, cfg.max_outer + 1):
+                state.iter = k
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                admm_iteration(state, inst.mask, cfg)
+                end, peak = tracemalloc.get_traced_memory()
+                if k >= 3:
+                    assert (peak - start) / y.nbytes < 0.5, k
+                    # up to small objects that await the cycle collector
+                    assert abs(end - start) / y.nbytes < 0.01, k
+                state.alpha = np.minimum(state.alpha * cfg.growth,
+                                         cfg.penalty_cap)
+                state.gamma = min(state.gamma * cfg.growth, cfg.penalty_cap)
+                state.s = min(state.s * cfg.growth, cfg.penalty_cap)
+        finally:
+            if not tracing:
+                tracemalloc.stop()
 
     def test_non_finite_state_raises(self, monkeypatch):
         monkeypatch.setattr("tslto.solver.update_L",

@@ -188,6 +188,19 @@ class TestTuckerReconstruct:
             atol=1e-10,
         )
 
+    def test_out_matches_allocating(self):
+        rng = np.random.default_rng(5)
+        g = rng.standard_normal((2, 3, 2))
+        u1, u2, u3 = (rng.standard_normal((d, r))
+                      for d, r in ((4, 2), (5, 3), (6, 2)))
+        out = np.empty((4, 5, 6), order="F")
+        got = tucker_reconstruct(g, u1, u2, u3, out=out)
+        assert got is out
+        assert got.tobytes() == tucker_reconstruct(g, u1, u2, u3).tobytes()
+        # the mode-3 unfolding of a row-major tensor is a copy, not a view
+        with pytest.raises(ValueError, match="unfolding is a view"):
+            tucker_reconstruct(g, u1, u2, u3, out=np.empty((4, 5, 6)))
+
 
 class TestProjectObserved:
     def test_full_and_empty_mask(self):
@@ -236,6 +249,16 @@ class TestToeplitzDiff:
             lhs = np.vdot(toeplitz_diff(x), y)
             rhs = np.vdot(x, toeplitz_diff_adjoint(y))
             assert abs(lhs - rhs) <= 1e-12
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_out_matches_allocating(self, order):
+        rng = np.random.default_rng(8)
+        m = np.asarray(rng.standard_normal((6, 3)), order=order)
+        for op, shape in ((toeplitz_diff, (5, 3)),
+                          (toeplitz_diff_adjoint, (7, 3))):
+            out = np.empty(shape, order=order)
+            assert op(m, out=out) is out
+            assert out.tobytes() == op(m).tobytes()
 
 
 class TestNormsAndCounts:
