@@ -14,24 +14,25 @@ of `tucker_reconstruct`'s output, so that the mode-1 unfolding and folding
 are views and no elementwise update mixes memory layouts.
 
 A solve allocates its tensors once.  Its first iteration gives the state a
-:class:`Workspace`: a spare tensor that the R and L replacements swap with,
-R's gradient, two flat scratch buffers that each block views in the shape it
-needs, and the flat index of the unobserved entries.  Every block update,
-trace row and the final evaluation write into these buffers (and Z, W and P
-into themselves), so from the second iteration on no tensor-sized array is
-allocated or freed.  X equals the observations on the mask from `init_state`
-on, so `solve` keeps no copy of y, and `update_X` computes and writes X only
-at the unobserved entries, gathered and scattered through the index.
+:class:`Workspace`: a spare tensor that the X, R and L replacements swap
+with, R's gradient, two flat scratch buffers that each block views in the
+shape it needs, and the column-major mask.  Every block update, trace row
+and the final evaluation write into these buffers (and Z, W and P into
+themselves), so from the second iteration on no tensor-sized array is
+allocated or freed.  X equals the observations on the mask from
+`init_state` on, so `solve` keeps no copy of y: `update_X` forms
+L + R - P/s in the spare and copies the old X onto the mask with a
+branch-free bit select (:func:`tslto.tensor_ops.copy_where`).
 
 A solve holds 11 tensor-sized arrays: X, L, R, P, Z, W and the kept D R,
-plus the four workspace buffers.  The index adds the missing fraction of a
-tensor (8 bytes per unobserved entry), and the factor steps add products of
-a factor's size (D_i x D_j x r_k) at their peak: with 30 % missing a solve
-peaks 11.3 (100^3) to 11.5 (60 x 50 x 40) tensors above its inputs.  When
-every block allocated its result, the freed temporaries made glibc trim and
-refault the heap top in every iteration; on 50^3 solves of 30 iterations
-(2 cores) the workspace cut minor page faults per solve from about 23.7k to
-2.2k and wall time by 24 % (BENCH_17.json), with bit-identical outputs.
+plus the four workspace buffers, and the column-major mask (an eighth of a
+tensor) when the given one is row-major.  The factor steps add products of
+a factor's size (D_i x D_j x r_k) at their peak: a solve peaks 11.2 (100^3)
+to 11.3 (60 x 50 x 40) tensors above its inputs, at any missing rate.
+When every block allocated its result, the freed temporaries made glibc
+trim and refault the heap top in every iteration; the workspace removes
+most of those minor page faults and about 15 % of a 50^3 solve's
+wall time, with bit-identical outputs (BENCH_17.json).
 """
 
 import math
@@ -43,6 +44,7 @@ import numpy as np
 from .prox import group_hard_threshold_l20, hard_threshold_l0
 from .stiefel import SmoothObjective, fit_coefficients, minimize_on_stiefel
 from .tensor_ops import (
+    copy_where,
     fold,
     frobenius_inner,
     frobenius_norm,
@@ -139,15 +141,13 @@ class SolverState:
 class Workspace:
     """Tensor-sized buffers that one solve reuses in every iteration.
 
-    - ``spare``: the tensor that the next R or L is written into; the
+    - ``spare``: the tensor that the next X, R or L is written into; the
       tensor it replaces becomes the spare (:func:`_replace`).
     - ``grad``: R's gradient.
     - two flat scratch buffers, which :meth:`scratch` views in the shape a
       block needs.
-    - ``missing``: the column-major flat index of the unobserved entries,
-      the only entries of X that an iteration writes.
-    - ``step_sq``: ||old - new||^2 of the last X or R update, taken by the
-      update itself and read once (:meth:`take_step`).
+    - ``mask``: the observation mask, column-major (one byte an entry; no
+      copy when the given mask already is).
 
     A state carries one as ``state.work`` (:func:`admm_iteration` attaches
     it).  Without one, every update allocates its result, so a loop that
@@ -156,21 +156,14 @@ class Workspace:
     """
 
     def __init__(self, dims, mask):
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != tuple(dims):
-            raise ValueError(f"mask shape {mask.shape} != tensor shape {dims}")
-        self.missing = np.flatnonzero(~mask.ravel(order="F"))
+        self.mask = np.asfortranarray(mask, dtype=bool)
+        if self.mask.shape != tuple(dims):
+            raise ValueError(
+                f"mask shape {self.mask.shape} != tensor shape {dims}")
         self.spare = np.empty(dims, order="F")
         self.grad = np.empty(dims, order="F")
         size = math.prod(dims)
         self._flat = (np.empty(size), np.empty(size))
-        self.step_sq = None
-
-    def take_step(self):
-        """``step_sq``, which is then cleared, so that a block whose update
-        left none has its change taken from the blocks themselves."""
-        step_sq, self.step_sq = self.step_sq, None
-        return step_sq
 
     def scratch(self, i, shape):
         """Scratch buffer i (0 or 1) as a column-major array of `shape`,
@@ -183,13 +176,6 @@ def _scratch(state, i, shape):
     `out=` allocate, when the state has no workspace."""
     work = getattr(state, "work", None)
     return None if work is None else work.scratch(i, shape)
-
-
-def _flat(t):
-    """Column-major flat view of a column-major tensor."""
-    if not t.flags.f_contiguous:
-        raise ValueError("expected a column-major tensor")
-    return t.ravel(order="F")
 
 
 # One diagnostics row of :func:`solve`: the iteration, the model objective,
@@ -325,38 +311,20 @@ def init_state(y, mask, cfg):
 def update_X(state, y, mask):
     """X = Y on the mask, L + R - P/s elsewhere.
 
-    Without a workspace the result is a new array, column-major when y and
-    mask are.  With one, X already holds the observations (y must be
-    state.x): only the unobserved entries are computed, gathered through
-    the workspace's index, and written into X in place, and
-    ``work.step_sq`` gets ||X_old - X_new||^2.
+    The result is a new array, column-major when y and mask are, or, with
+    a workspace, ``work.spare``, into which the full L + R - P/s is formed
+    and y copied on the mask (:func:`copy_where`): the same values either
+    way, at the same cost at every missing rate.
     """
     work = getattr(state, "work", None)
     if work is None:
         free = state.l + state.r
         free -= state.p / state.s
         return np.where(mask, y, free)
-    if y is not state.x:
-        raise ValueError("with a workspace X holds the observations: "
-                         "pass state.x as y")
-    idx = work.missing
-    a, b = work.scratch(0, idx.shape), work.scratch(1, idx.shape)
-    # mode="clip" (the index is in range): the default "raise" copies `out`
-    free = np.take(_flat(state.l), idx, out=a, mode="clip")
-    free += np.take(_flat(state.r), idx, out=b, mode="clip")
-    free -= np.divide(np.take(_flat(state.p), idx, out=b, mode="clip"),
-                      state.s, out=b)
-    x = _flat(state.x)
-    step = np.take(x, idx, out=b, mode="clip")
-    step -= free
-    # ||X_old - X_new|| over the full tensor, zeros included, sums in the
-    # same order as the norm of the allocating path's difference
-    diff = _flat(work.spare)
-    diff.fill(0.0)
-    diff[idx] = step
-    work.step_sq = frobenius_inner(diff, diff)
-    x[idx] = free
-    return state.x
+    scratch = work.scratch(0, state.x.shape)
+    free = np.add(state.l, state.r, out=work.spare)
+    free -= np.divide(state.p, state.s, out=scratch)
+    return copy_where(free, y, mask, scratch)
 
 
 def update_G(state):
@@ -431,8 +399,8 @@ def update_R(state, cfg):
     :func:`double_diff`.  Returns the new tensor and the accepted step,
     which warm-starts the next outer iteration's line search.
 
-    With a workspace each trial is written into ``work.spare``, D R is
-    updated in place, and ``work.step_sq`` gets the accepted ||delta||^2.
+    With a workspace each trial is written into ``work.spare`` and D R is
+    updated in place.
     """
     r = state.r
     dims = r.shape
@@ -458,8 +426,6 @@ def update_R(state, cfg):
             d_r = double_diff(state)
             d_r = np.add(d_r, d_delta, out=d_delta if work is None else d_r)
             state._double_diff = (candidate, d_r)
-            if work is not None:
-                work.step_sq = sq
             return candidate, lam
         lam *= cfg.prox_rho
     raise SolverDivergenceError(
@@ -535,8 +501,7 @@ def _relative(step, prev_norm):
 
 
 def _relative_change(prev, cur):
-    """The relative change of a block, which :func:`_replace` takes from
-    the update's own ||old - new||^2 where the update gives one."""
+    """The relative change of a block, as :func:`_replace` takes it."""
     return _relative(frobenius_norm(prev - cur), frobenius_norm(prev))
 
 
@@ -565,24 +530,17 @@ def model_objective(state, cfg):
     )
 
 
-def _replace(state, name, block, step_sq=None, prev_norm=None):
+def _replace(state, name, block):
     """Store `block` as state.<name>; returns its relative change.
 
-    step_sq, when given, is ||old - block||^2 as the update took it, and
-    prev_norm the old block's norm, taken before an update in place.  A
-    block written into the workspace's spare swaps with the block it
+    A block written into the workspace's spare swaps with the block it
     replaces; otherwise the replaced block is released on return.  Raises
     SolverDivergenceError when the block is not finite.
     """
     prev = getattr(state, name)
-    if prev_norm is None:
-        prev_norm = frobenius_norm(prev)
-    if step_sq is None:
-        step = frobenius_norm(np.subtract(
-            prev, block, out=_scratch(state, 0, block.shape)))
-    else:
-        step = math.sqrt(step_sq)
-    change = _relative(step, prev_norm)
+    step = frobenius_norm(np.subtract(
+        prev, block, out=_scratch(state, 0, block.shape)))
+    change = _relative(step, frobenius_norm(prev))
     # a non-finite entry makes the change non-finite (its difference with
     # the old block is not finite, and norms do not cancel), so only then is
     # the block checked entrywise
@@ -599,22 +557,19 @@ def _replace(state, name, block, step_sq=None, prev_norm=None):
 def admm_iteration(state, mask, cfg):
     """One outer iteration: the eight block updates, in order, on state.
 
-    The first call gives the state its :class:`Workspace`, whose index of
-    the unobserved entries comes from mask; later calls do not read mask.
-    X equals the observations on the mask from :func:`init_state` on, and
-    update_X writes only its unobserved entries.  Returns the relative
-    changes of X, G, L and R, each taken as the block is replaced.
+    The first call gives the state its :class:`Workspace`, which keeps a
+    column-major copy of mask; later calls read that copy.  X equals the
+    observations on the mask from :func:`init_state` on, so X itself
+    supplies them to update_X.  Returns the relative changes of X, G, L and
+    R, each taken as the block is replaced.
     """
     if state.work is None:
         state.work = Workspace(state.x.shape, mask)
-    work = state.work
-    x_norm = frobenius_norm(state.x)  # X is updated in place
-    x = update_X(state, state.x, mask)
-    rel_x = _replace(state, "x", x, work.take_step(), x_norm)
+    rel_x = _replace(state, "x", update_X(state, state.x, state.work.mask))
     rel_g = _replace(state, "g", update_G(state))
     state.u1, state.u2, state.u3 = update_U(state, cfg)
     r, state.prox_lam = update_R(state, cfg)
-    rel_r = _replace(state, "r", r, work.take_step())
+    rel_r = _replace(state, "r", r)
     rel_l = _replace(state, "l", update_L(state, cfg))
     state.y1, state.y2, state.y3 = update_Y(state, cfg)
     state.z = update_Z(state, cfg)
@@ -627,10 +582,10 @@ def solve(y, mask, cfg, trace_every=0):
 
     trace_every > 0 records a :class:`TraceRow` on the first and last
     iterations and every that many in between.
-    y and mask are read only by :func:`init_state`, which makes transient
-    column-major copies of row-major ones, and by the first
-    :func:`admm_iteration`, which indexes the unobserved entries; from then
-    on X holds the observations.  Trace rows and the final evaluation use
+    y is read only by :func:`init_state`, which makes a transient
+    column-major copy of a row-major one; from then on X holds the
+    observations.  The first :func:`admm_iteration` keeps a column-major
+    copy of a row-major mask in the workspace.  Trace rows and the final evaluation use
     the state's workspace.
     """
     state = init_state(y, mask, cfg)

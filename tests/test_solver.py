@@ -750,30 +750,33 @@ class TestSolve:
     def test_holds_only_live_tensors(self):
         # A solve holds X, L, R, P, Z, W and D R, plus its workspace: the
         # spare tensor, R's gradient and two scratch buffers, 11
-        # tensor-sized arrays, and the index of the unobserved entries (0.3
-        # of a tensor here).  Trace rows and the final evaluation write into
-        # the workspace.  y is row-major, so a solve that kept a
-        # column-major copy of it would hold one more.
-        inst = generate(SyntheticSpec(dims=(60, 50, 40), block_count=10,
-                                      block_cols=40, missing_rate=0.3, seed=1))
-        y = project_observed(inst.full, inst.mask)
-        assert y.flags.c_contiguous and not y.flags.f_contiguous
-        cfg = SolverConfig(max_outer=6)
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            for trace_every in (0, 1):
-                tracemalloc.reset_peak()
-                start = tracemalloc.get_traced_memory()[0]
-                res = solve(y, inst.mask, cfg, trace_every=trace_every)
-                peak = tracemalloc.get_traced_memory()[1]
-                assert res.iterations == 6
-                assert (peak - start) / y.nbytes <= 11.5, trace_every
-                del res
-        finally:
+        # tensor-sized arrays, and the column-major mask (an eighth of a
+        # tensor), whatever the missing rate.  Trace rows and the final
+        # evaluation write into the workspace.  y is row-major, so a solve
+        # that kept a column-major copy of it would hold one more.
+        for missing_rate in (0.3, 0.8):
+            inst = generate(SyntheticSpec(dims=(60, 50, 40), block_count=10,
+                                          block_cols=40,
+                                          missing_rate=missing_rate, seed=1))
+            y = project_observed(inst.full, inst.mask)
+            assert y.flags.c_contiguous and not y.flags.f_contiguous
+            cfg = SolverConfig(max_outer=6)
+            tracing = tracemalloc.is_tracing()
             if not tracing:
-                tracemalloc.stop()
+                tracemalloc.start()
+            try:
+                for trace_every in (0, 1):
+                    tracemalloc.reset_peak()
+                    start = tracemalloc.get_traced_memory()[0]
+                    res = solve(y, inst.mask, cfg, trace_every=trace_every)
+                    peak = tracemalloc.get_traced_memory()[1]
+                    assert res.iterations == 6
+                    held = (peak - start) / y.nbytes
+                    assert held <= 11.5, (missing_rate, trace_every)
+                    del res
+            finally:
+                if not tracing:
+                    tracemalloc.stop()
 
     def test_steady_iteration_allocates_no_tensor(self):
         # From the second iteration on, every block writes into the

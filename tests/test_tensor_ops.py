@@ -16,7 +16,7 @@ from tslto import (
     tucker_reconstruct,
     unfold,
 )
-from tslto.tensor_ops import frobenius_inner
+from tslto.tensor_ops import copy_where, frobenius_inner
 
 
 def naive_unfold(x, mode):
@@ -218,6 +218,29 @@ class TestProjectObserved:
         np.testing.assert_array_equal(
             project_observed(x, mask), np.array([3.0, 0.0]).reshape(2, 1, 1)
         )
+
+
+class TestCopyWhere:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_np_where_bit_for_bit(self, order):
+        rng = np.random.default_rng(9)
+        shape = (5, 4, 3)
+        dst = np.asarray(rng.standard_normal(shape), order=order)
+        src = np.asarray(rng.standard_normal(shape), order=order)
+        # NaN (with a payload), infinities and signed zeros on both sides
+        flat_dst, flat_src = dst.ravel(order="A"), src.ravel(order="A")
+        flat_dst[:6] = (np.nan, np.inf, -np.inf, -0.0, 0.0, -0.0)
+        flat_src[:6] = (-0.0, np.nan, 0.0, np.inf, -0.0, 1.0)
+        flat_src.view(np.int64)[6] = 0x7FF8000000000123
+        mask = np.asarray(rng.random(shape) < 0.6, order=order)
+        mask.ravel(order="A")[:7] = (True, True, False, True, False, True,
+                                     True)
+        want = np.where(mask, src, dst)
+        src_bytes = src.tobytes()
+        got = copy_where(dst, src, mask, np.empty(shape, order=order))
+        assert got is dst
+        assert got.tobytes() == want.tobytes()
+        assert src.tobytes() == src_bytes
 
 
 class TestToeplitzDiff:
