@@ -17,6 +17,7 @@ from dataclasses import asdict, fields
 
 from . import io as tio
 from .datagen import SyntheticInstance, SyntheticSpec, generate, sparsity_report
+from .lanes import usable_cpus
 from .metrics import (DetectionRule, check_scope, detection_metrics,
                       imputation_metrics)
 from .preprocess import (
@@ -362,7 +363,7 @@ def cmd_grid(args):
         if "seed" not in (key1, key2):
             cell["seed"] = values["seed"] ^ idx
         cells.append(cell)
-    jobs = min(_job_count(args.jobs), len(cells), os.cpu_count() or 1)
+    jobs = min(_job_count(args.jobs), len(cells), usable_cpus())
     for idx, ((v1, v2), cell) in enumerate(zip(pairs, cells)):
         try:
             _check_cell(cell, input_files is None)

@@ -15,17 +15,26 @@ def _check_weight(t):
     return t
 
 
-def hard_threshold_l0(x, t, out=None, scratch=None):
+def hard_threshold_l0(x, t, out=None, scratch=None, lane=None):
     """Entrywise hard threshold: zero where x**2 <= 2*t, keep otherwise.
 
     Minimizes t * ||z||_0 + 0.5 * ||z - x||_F**2 entrywise.  out=x
     thresholds x in place.  scratch, a float array of x's shape, holds the
     comparison (1.0 where kept) instead of a new boolean array; x times it
-    is bitwise x times the boolean.
+    is bitwise x times the boolean.  A :class:`tslto.lanes.Lane` runs the
+    passes in two halves of column-major arrays; it needs out and
+    scratch.
     """
     t = _check_weight(t)
     x = np.asarray(x, dtype=float)
-    keep = np.greater(np.multiply(x, x, out=scratch), 2.0 * t, out=scratch)
+    if lane is None:
+        return _keep_above(x, out, scratch, bound=2.0 * t)
+    lane.split(_keep_above, x, out, scratch, bound=2.0 * t)
+    return out
+
+
+def _keep_above(x, out, scratch, bound):
+    keep = np.greater(np.multiply(x, x, out=scratch), bound, out=scratch)
     return np.multiply(x, keep, out=out)
 
 

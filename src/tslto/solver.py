@@ -33,19 +33,34 @@ When every block allocated its result, the freed temporaries made glibc
 trim and refault the heap top in every iteration; the workspace removes
 most of those minor page faults and about 15 % of a 50^3 solve's
 wall time, with bit-identical outputs (BENCH_17.json).
+
+A solve of at least ``tslto.lanes.LANE_MIN_ENTRIES`` entries (about 74^3)
+runs its loop in two lanes (:func:`tslto.lanes.solve_lane`): after the
+HOSVD start, OpenBLAS is held to one thread, and where a second CPU is free
+the workspace's lane gets a worker thread.  Each block update hands the
+lane half of each elementwise pass (flat halves of the column-major
+tensors; column or row halves of the difference operators), and a norm or
+inner product beside another pass: ||prev|| beside ||prev - new|| in
+:func:`_replace`, ||delta||^2 beside the row difference of delta in each R
+trial, the (X - R) and P terms of L beside its Tucker reconstruction.  No
+norm or inner product is split and no buffer is added, so a lane solve is
+bitwise an inline one, and every public function is still called on the
+calling thread, as often as inline.  Smaller solves, and
+:func:`admm_iteration` called on its own, run the same code inline.
 """
 
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
+from .lanes import INLINE, solve_lane
 from .prox import group_hard_threshold_l20, hard_threshold_l0
 from .stiefel import SmoothObjective, fit_coefficients, minimize_on_stiefel
 from .tensor_ops import (
     copy_where,
-    fold,
     frobenius_inner,
     frobenius_norm,
     l0_count,
@@ -148,14 +163,18 @@ class Workspace:
       block needs.
     - ``mask``: the observation mask, column-major (one byte an entry; no
       copy when the given mask already is).
+    - ``lane``: the :class:`tslto.lanes.Lane` that the block updates hand
+      their independent halves to; inline unless :func:`solve` gives it a
+      worker.
 
-    A state carries one as ``state.work`` (:func:`admm_iteration` attaches
-    it).  Without one, every update allocates its result, so a loop that
-    keeps the previous blocks, as a test's spelled-out loop does, still
-    can.
+    A state carries one as ``state.work`` (:func:`solve` or
+    :func:`admm_iteration` attaches it).  Without one, every update
+    allocates its result, so a loop that keeps the previous blocks, as a
+    test's spelled-out loop does, still can.
     """
 
-    def __init__(self, dims, mask):
+    def __init__(self, dims, mask, lane=INLINE):
+        self.lane = lane
         self.mask = np.asfortranarray(mask, dtype=bool)
         if self.mask.shape != tuple(dims):
             raise ValueError(
@@ -172,10 +191,16 @@ class Workspace:
 
 
 def _scratch(state, i, shape):
-    """The state's scratch buffer i in `shape`, or None, which makes a numpy
-    `out=` allocate, when the state has no workspace."""
+    """The state's scratch buffer i in `shape`, or a new column-major array
+    when the state has no workspace."""
     work = getattr(state, "work", None)
-    return None if work is None else work.scratch(i, shape)
+    return np.empty(shape, order="F") if work is None else work.scratch(i, shape)
+
+
+def _lane(state):
+    """The lane of the state's workspace; inline without one."""
+    work = getattr(state, "work", None)
+    return INLINE if work is None else work.lane
 
 
 # One diagnostics row of :func:`solve`: the iteration, the model objective,
@@ -197,10 +222,11 @@ class SolveResult:
     converged: bool = False
 
 
-def column_diff(m, out=None):
+def column_diff(m, out=None, lane=None):
     """Consecutive-column differences (M @ T_r.T): column j of the result
-    is m[:, j] - m[:, j+1].  out, when given, receives the result."""
-    return toeplitz_diff(m.T, out=None if out is None else out.T).T
+    is m[:, j] - m[:, j+1].  out, when given, receives the result; a lane
+    takes half of the rows."""
+    return toeplitz_diff(m.T, out=None if out is None else out.T, lane=lane).T
 
 
 def block_diff(m):
@@ -208,11 +234,13 @@ def block_diff(m):
     return column_diff(toeplitz_diff(m))
 
 
-def block_diff_adjoint(m, out=None, tmp=None):
+def block_diff_adjoint(m, out=None, tmp=None, lane=None):
     """Adjoint of :func:`block_diff` (T_l.T @ M @ T_r).  out, when given,
-    receives the result and tmp the row adjoint T_l.T @ M."""
-    rows = toeplitz_diff_adjoint(m, out=tmp)
-    return toeplitz_diff_adjoint(rows.T, out=None if out is None else out.T).T
+    receives the result and tmp the row adjoint T_l.T @ M; a lane takes
+    half of each pass."""
+    rows = toeplitz_diff_adjoint(m, out=tmp, lane=lane)
+    return toeplitz_diff_adjoint(rows.T, out=None if out is None else out.T,
+                                 lane=lane).T
 
 
 def double_diff(state):
@@ -322,9 +350,15 @@ def update_X(state, y, mask):
         free -= state.p / state.s
         return np.where(mask, y, free)
     scratch = work.scratch(0, state.x.shape)
-    free = np.add(state.l, state.r, out=work.spare)
-    free -= np.divide(state.p, state.s, out=scratch)
-    return copy_where(free, y, mask, scratch)
+    work.lane.split(_free_value, state.l, state.r, state.p, work.spare,
+                    scratch, s=state.s)
+    return copy_where(work.spare, y, mask, scratch, lane=work.lane)
+
+
+def _free_value(l, r, p, out, tmp, s):
+    """out = L + R - P/s, update_X's value off the mask."""
+    np.add(l, r, out=out)
+    out -= np.divide(p, s, out=tmp)
 
 
 def update_G(state):
@@ -369,22 +403,50 @@ def _r_gradient(state):
     """Gradient at state.r of the smooth part f of the R subproblem, the
     augmented-Lagrangian terms <Z - D R, W> + (gamma/2) ||Z - D R||^2
     + <X - L - R, P> + (s/2) ||X - L - R||^2.  With a workspace it is
-    written into ``work.grad``."""
+    written into ``work.grad``.
+
+    s (X - L + P/s - R) goes to scratch 0, with P/s in the spare (dead from
+    X's swap to R's first trial), and the Z terms' residual to the Z-shaped
+    head of the gradient buffer, whose double adjoint goes through scratch 1
+    into the whole buffer.  The lane takes half of each pass.
+    """
     dims, zshape = state.r.shape, state.z.shape
     work = getattr(state, "work", None)
-    res_z = np.divide(state.w, state.gamma, out=_scratch(state, 0, zshape))
-    res_z += state.z
-    res_z -= double_diff(state)
-    grad = fold(block_diff_adjoint(
-        res_z, out=None if work is None else unfold(work.grad, 1),
-        tmp=_scratch(state, 1, (dims[0], zshape[1]))), 1, dims)
-    grad *= -state.gamma
-    res_xlr = np.subtract(state.x, state.l, out=_scratch(state, 0, dims))
-    res_xlr += np.divide(state.p, state.s, out=_scratch(state, 1, dims))
-    res_xlr -= state.r
-    res_xlr *= state.s
-    grad -= res_xlr
+    lane = _lane(state)
+    grad = np.empty(dims, order="F") if work is None else work.grad
+    res_xlr = _scratch(state, 0, dims)
+    lane.split(_feasibility_residual, state.x, state.l, state.p, state.r,
+               res_xlr, np.empty(dims, order="F") if work is None else work.spare,
+               s=state.s)
+    res_z = grad.reshape(-1, order="F")[:math.prod(zshape)].reshape(
+        zshape, order="F")
+    lane.split(_z_residual, state.w, state.z, double_diff(state), res_z,
+               gamma=state.gamma)
+    block_diff_adjoint(res_z, out=unfold(grad, 1),
+                       tmp=_scratch(state, 1, (dims[0], zshape[1])), lane=lane)
+    lane.split(_combine_gradient, grad, res_xlr, gamma=state.gamma)
     return grad
+
+
+def _feasibility_residual(x, l, p, r, out, tmp, s):
+    """out = s (X - L + P/s - R), with P/s in tmp."""
+    np.subtract(x, l, out=out)
+    out += np.divide(p, s, out=tmp)
+    out -= r
+    out *= s
+
+
+def _z_residual(w, z, d_r, out, gamma):
+    """out = W/gamma + Z - D R."""
+    np.divide(w, gamma, out=out)
+    out += z
+    out -= d_r
+
+
+def _combine_gradient(grad, res_xlr, gamma):
+    """grad = -gamma * grad - res_xlr, in place."""
+    grad *= -gamma
+    grad -= res_xlr
 
 
 def update_R(state, cfg):
@@ -400,32 +462,40 @@ def update_R(state, cfg):
     which warm-starts the next outer iteration's line search.
 
     With a workspace each trial is written into ``work.spare`` and D R is
-    updated in place.
+    updated in place.  The lane takes half of each elementwise pass, and
+    ||delta||^2 beside the row difference of delta.
     """
     r = state.r
     dims = r.shape
     work = getattr(state, "work", None)
+    lane = _lane(state)
     grad = _r_gradient(state)
     lam = state.prox_lam
     for _ in range(R_MAX_HALVINGS):
         # r - lam * grad, thresholded in place
-        candidate = np.multiply(grad, -lam,
-                                out=None if work is None else work.spare)
-        candidate += r
+        candidate = np.empty(dims, order="F") if work is None else work.spare
+        lane.split(_descent_step, grad, r, candidate, step=-lam)
         hard_threshold_l0(candidate, lam * cfg.mu1, out=candidate,
-                          scratch=_scratch(state, 0, dims))
-        delta = np.subtract(candidate, r, out=_scratch(state, 0, dims))
-        sq = frobenius_inner(delta, delta)
+                          scratch=_scratch(state, 0, dims), lane=lane)
+        delta = _scratch(state, 0, dims)
+        lane.split(np.subtract, candidate, r, delta)
         # D delta = column_diff(toeplitz_diff(unfold(delta, 1))); the column
         # difference overwrites delta's scratch
-        rows = toeplitz_diff(unfold(delta, 1), out=_scratch(
-            state, 1, (dims[0] - 1, dims[1] * dims[2])))
-        d_delta = column_diff(rows, out=_scratch(state, 0, state.z.shape))
+        sq, rows = lane.both(
+            partial(_sum_squares, delta),
+            lambda: toeplitz_diff(unfold(delta, 1), out=_scratch(
+                state, 1, (dims[0] - 1, dims[1] * dims[2])), lane=lane))
+        d_delta = column_diff(rows, out=_scratch(state, 0, state.z.shape),
+                              lane=lane)
         if (state.gamma * frobenius_inner(d_delta, d_delta) + state.s * sq
                 <= sq / lam):
-            d_r = double_diff(state)
-            d_r = np.add(d_r, d_delta, out=d_delta if work is None else d_r)
-            state._double_diff = (candidate, d_r)
+            # D R + D delta, into the kept D R, or into D delta without a
+            # workspace, so that the replaced R keeps its D R
+            total, term = double_diff(state), d_delta
+            if work is None:
+                total, term = term, total
+            lane.split(_accumulate, total, term)
+            state._double_diff = (candidate, total)
             return candidate, lam
         lam *= cfg.prox_rho
     raise SolverDivergenceError(
@@ -434,22 +504,56 @@ def update_R(state, cfg):
     )
 
 
+def _descent_step(grad, r, out, step):
+    """out = grad * step + r."""
+    np.multiply(grad, step, out=out)
+    out += r
+
+
+def _sum_squares(a):
+    """<a, a>, as :func:`tslto.tensor_ops.frobenius_inner` takes it for a
+    column-major array."""
+    flat = a.ravel(order="F")
+    return float(np.dot(flat, flat))
+
+
+def _norm(a):
+    """||a||, as :func:`tslto.tensor_ops.frobenius_norm` takes it."""
+    return float(np.linalg.norm(a.ravel(order="K")))
+
+
+def _accumulate(out, *terms):
+    """out += each term, in order."""
+    for term in terms:
+        out += term
+
+
 def update_L(state, cfg):
     """Closed-form blend of the Tucker fit and the feasibility target:
     (beta * recon + s * (X - R) + P) / (beta + s), where the fit's weight
     scales the r1 x r2 x r3 core before the reconstruction.  With a
-    workspace it is written into ``work.spare``."""
+    workspace it is written into ``work.spare``.  The lane forms the two
+    other terms in the scratch buffers beside the reconstruction."""
     denom = cfg.beta + state.s
     work = getattr(state, "work", None)
-    out = tucker_reconstruct(cfg.beta / denom * state.g,
-                             state.u1, state.u2, state.u3,
-                             out=None if work is None else work.spare)
-    tmp = np.subtract(state.x, state.r, out=_scratch(state, 0, out.shape))
-    tmp *= state.s / denom
-    out += tmp
-    np.divide(state.p, denom, out=tmp)
-    out += tmp
+    fit = _scratch(state, 0, state.x.shape)
+    dual = _scratch(state, 1, state.x.shape)
+    lane = _lane(state)
+    _, out = lane.both(
+        partial(_l_terms, state.x, state.r, state.p, fit, dual,
+                weight=state.s / denom, denom=denom),
+        lambda: tucker_reconstruct(cfg.beta / denom * state.g,
+                                   state.u1, state.u2, state.u3,
+                                   out=None if work is None else work.spare))
+    lane.split(_accumulate, out, fit, dual)
     return out
+
+
+def _l_terms(x, r, p, fit, dual, weight, denom):
+    """fit = (X - R) * weight and dual = P / denom."""
+    np.subtract(x, r, out=fit)
+    fit *= weight
+    np.divide(p, denom, out=dual)
 
 
 def update_Y(state, cfg):
@@ -467,32 +571,51 @@ def update_Y(state, cfg):
 def update_Z(state, cfg):
     """Elementwise hard threshold on the doubly-differenced anomaly block.
 
-    With a workspace Z is updated in place.
+    With a workspace Z is updated in place.  The lane takes half of each
+    pass.
     """
     work = getattr(state, "work", None)
-    target = np.divide(state.w, state.gamma,
-                       out=None if work is None else state.z)
-    np.subtract(double_diff(state), target, out=target)
+    lane = _lane(state)
+    target = np.empty(state.w.shape, order="F") if work is None else state.z
+    lane.split(_z_target, state.w, double_diff(state), target,
+               gamma=state.gamma)
     return hard_threshold_l0(target, cfg.mu2 / state.gamma, out=target,
-                             scratch=_scratch(state, 0, target.shape))
+                             scratch=_scratch(state, 0, target.shape),
+                             lane=lane)
+
+
+def _z_target(w, d_r, out, gamma):
+    """out = D R - W / gamma."""
+    np.divide(w, gamma, out=out)
+    np.subtract(d_r, out, out=out)
 
 
 def update_multipliers(state):
     """Dual ascent on the five constraints.  With a workspace W and P are
-    updated in place."""
+    updated in place.  The lane takes half of each of their passes."""
     work = getattr(state, "work", None)
+    lane = _lane(state)
     v1 = state.v1 + state.alpha[0] * (state.y1 - toeplitz_diff(state.u1))
     v2 = state.v2 + state.alpha[1] * (state.y2 - toeplitz_diff(state.u2))
     v3 = state.v3 + state.alpha[2] * (state.y3 - toeplitz_diff(state.u3))
-    w = np.subtract(state.z, double_diff(state),
-                    out=_scratch(state, 0, state.z.shape))
-    w *= state.gamma
-    w = np.add(w, state.w, out=w if work is None else state.w)
-    p = np.subtract(state.x, state.l, out=_scratch(state, 0, state.p.shape))
-    p -= state.r
-    p *= state.s
-    p = np.add(p, state.p, out=p if work is None else state.p)
+    tmp = _scratch(state, 0, state.z.shape)
+    w = tmp if work is None else state.w
+    lane.split(_ascent, state.w, tmp, w, state.z, double_diff(state),
+               step=state.gamma)
+    tmp = _scratch(state, 0, state.p.shape)
+    p = tmp if work is None else state.p
+    lane.split(_ascent, state.p, tmp, p, state.x, state.l, state.r,
+               step=state.s)
     return v1, v2, v3, w, p
+
+
+def _ascent(mult, tmp, out, a, *minus, step):
+    """out = step * (a - each of minus, in order) + mult, through tmp."""
+    np.subtract(a, minus[0], out=tmp)
+    for b in minus[1:]:
+        tmp -= b
+    tmp *= step
+    np.add(tmp, mult, out=out)
 
 
 def _relative(step, prev_norm):
@@ -538,9 +661,12 @@ def _replace(state, name, block):
     SolverDivergenceError when the block is not finite.
     """
     prev = getattr(state, name)
-    step = frobenius_norm(np.subtract(
-        prev, block, out=_scratch(state, 0, block.shape)))
-    change = _relative(step, frobenius_norm(prev))
+    diff = _scratch(state, 0, block.shape)
+    lane = _lane(state)
+    lane.split(np.subtract, prev, block, diff)
+    step, prev_norm = lane.both(partial(_norm, diff),
+                                lambda: frobenius_norm(prev))
+    change = _relative(step, prev_norm)
     # a non-finite entry makes the change non-finite (its difference with
     # the old block is not finite, and norms do not cancel), so only then is
     # the block checked entrywise
@@ -557,11 +683,12 @@ def _replace(state, name, block):
 def admm_iteration(state, mask, cfg):
     """One outer iteration: the eight block updates, in order, on state.
 
-    The first call gives the state its :class:`Workspace`, which keeps a
-    column-major copy of mask; later calls read that copy.  X equals the
-    observations on the mask from :func:`init_state` on, so X itself
-    supplies them to update_X.  Returns the relative changes of X, G, L and
-    R, each taken as the block is replaced.
+    The first call gives a state without one its :class:`Workspace`, with
+    an inline lane, which keeps a column-major copy of mask; later calls
+    read that copy.  X equals the observations on the mask from
+    :func:`init_state` on, so X itself supplies them to update_X.  Returns
+    the relative changes of X, G, L and R, each taken as the block is
+    replaced.
     """
     if state.work is None:
         state.work = Workspace(state.x.shape, mask)
@@ -584,34 +711,42 @@ def solve(y, mask, cfg, trace_every=0):
     iterations and every that many in between.
     y is read only by :func:`init_state`, which makes a transient
     column-major copy of a row-major one; from then on X holds the
-    observations.  The first :func:`admm_iteration` keeps a column-major
-    copy of a row-major mask in the workspace.  Trace rows and the final evaluation use
-    the state's workspace.
+    observations.  The workspace keeps a column-major copy of a row-major
+    mask.  Trace rows and the final evaluation use the state's workspace.
+
+    The loop and the final evaluation run with the lane of
+    :func:`tslto.lanes.solve_lane`: at or above its break-even size, with
+    OpenBLAS held to one thread and, where a second CPU is free, a worker
+    thread that takes the independent halves of each block update.  The
+    HOSVD start runs before, with the caller's BLAS threads.
     """
     state = init_state(y, mask, cfg)
     trace = []
     converged = False
-    for k in range(1, cfg.max_outer + 1):
-        state.iter = k
-        changes = admm_iteration(state, mask, cfg)
-        converged = k > 1 and check_convergence(changes, cfg.eps)
-        last = converged or k == cfg.max_outer
-        if trace_every and (k % trace_every == 0 or k == 1 or last):
-            trace.append(TraceRow(k, model_objective(state, cfg),
-                                  *state.residuals(), *changes))
-        if converged:
-            break
+    with solve_lane(state.x.size) as lane:
+        state.work = Workspace(state.x.shape, mask, lane)
+        for k in range(1, cfg.max_outer + 1):
+            state.iter = k
+            changes = admm_iteration(state, mask, cfg)
+            converged = k > 1 and check_convergence(changes, cfg.eps)
+            last = converged or k == cfg.max_outer
+            if trace_every and (k % trace_every == 0 or k == 1 or last):
+                trace.append(TraceRow(k, model_objective(state, cfg),
+                                      *state.residuals(), *changes))
+            if converged:
+                break
 
-        state.alpha = np.minimum(state.alpha * cfg.growth, cfg.penalty_cap)
-        state.gamma = min(state.gamma * cfg.growth, cfg.penalty_cap)
-        state.s = min(state.s * cfg.growth, cfg.penalty_cap)
+            state.alpha = np.minimum(state.alpha * cfg.growth, cfg.penalty_cap)
+            state.gamma = min(state.gamma * cfg.growth, cfg.penalty_cap)
+            state.s = min(state.s * cfg.growth, cfg.penalty_cap)
 
-    if trace:
-        # the final iteration wrote this row from the same state
-        row = trace[-1]
-        objective, residuals = row.objective, (row.res_y, row.res_z, row.res_xlr)
-    else:
-        objective, residuals = model_objective(state, cfg), state.residuals()
+        if trace:
+            # the final iteration wrote this row from the same state
+            row = trace[-1]
+            objective = row.objective
+            residuals = (row.res_y, row.res_z, row.res_xlr)
+        else:
+            objective, residuals = model_objective(state, cfg), state.residuals()
     return SolveResult(
         x=state.x,
         l=state.l,

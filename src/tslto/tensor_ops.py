@@ -9,6 +9,8 @@ reconstruction factors as U1 @ unfold(G, 1) @ kron(U3, U2).T, which is what
 the factor-gradient formulas assume.
 """
 
+from functools import partial
+
 import numpy as np
 
 MODES = (1, 2, 3)
@@ -111,7 +113,7 @@ def project_observed(x, mask):
     return np.where(mask, x, 0.0)
 
 
-def copy_where(dst, src, mask, scratch):
+def copy_where(dst, src, mask, scratch, lane=None):
     """dst[mask] = src[mask] in place, bit for bit; returns dst.
 
     dst, src and scratch are float64 arrays of one shape and mask a bool
@@ -119,32 +121,58 @@ def copy_where(dst, src, mask, scratch):
     kept where mask by a multiply with its 0s and 1s, and xored into dst:
     three elementwise passes without a branch, where
     ``np.copyto(dst, src, where=mask)`` copies run by run and takes about
-    2.7 times as long on a scattered mask (50^3, 30 % of it unset).
+    2.7 times as long on a scattered mask (50^3, 30 % of it unset).  A
+    :class:`tslto.lanes.Lane` runs the passes in two halves of column-major
+    arrays.
     """
+    if lane is None:
+        _select_bits(dst, src, mask, scratch)
+    else:
+        lane.split(_select_bits, dst, src, mask, scratch)
+    return dst
+
+
+def _select_bits(dst, src, mask, scratch):
     bits = dst.view(np.int64)
     flips = np.bitwise_xor(bits, src.view(np.int64),
                            out=scratch.view(np.int64))
     flips *= mask
     bits ^= flips
-    return dst
 
 
-def toeplitz_diff(m, out=None):
+def toeplitz_diff(m, out=None, lane=None):
     """Consecutive-row differences: row j of the result is m[j] - m[j+1].
 
     Applies the (n-1) x n banded [1, -1] difference matrix without
-    materializing it.  out, when given, receives the result.
+    materializing it.  out, when given, receives the result.  A
+    :class:`tslto.lanes.Lane` takes half of a matrix result, cut where its
+    halves stay contiguous (columns when out is column-major, else rows);
+    it needs out.
     """
     m = np.asarray(m)
     if m.shape[0] < 2:
         raise ValueError("toeplitz_diff needs at least two rows")
-    return np.subtract(m[:-1], m[1:], out=out)
+    if lane is None:
+        return np.subtract(m[:-1], m[1:], out=out)
+    if out.flags.f_contiguous:
+        def part(cols):
+            np.subtract(m[:-1, cols], m[1:, cols], out=out[:, cols])
+
+        lane.halves(part, out.shape[1])
+    else:
+        def part(rows):
+            np.subtract(m[rows], m[rows.start + 1:rows.stop + 1],
+                        out=out[rows])
+
+        lane.halves(part, out.shape[0])
+    return out
 
 
-def toeplitz_diff_adjoint(m, out=None):
+def toeplitz_diff_adjoint(m, out=None, lane=None):
     """Adjoint (transpose) of :func:`toeplitz_diff`: maps (n-1) x c to n x c.
 
-    out, when given, receives the result.
+    out, when given, receives the result.  A :class:`tslto.lanes.Lane`
+    takes half of it, cut as :func:`toeplitz_diff` cuts.
     """
     m = np.asarray(m)
     if out is None:
@@ -153,13 +181,32 @@ def toeplitz_diff_adjoint(m, out=None):
             dtype=np.result_type(m, float),
             order="F" if np.isfortran(m) else "C",
         )
-    # out[-1] = -m[-1], not np.negative(m[-1], out=out[-1]): numpy 2.4.6 writes
-    # wrong values through the latter when both rows are strided views of
-    # column-major arrays (seen with 8-row inputs)
-    out[0] = m[0]
-    np.subtract(m[1:], m[:-1], out=out[1:-1])
-    out[-1] = -m[-1]
+    if lane is None:
+        _adjoint_rows(m, out, slice(0, out.shape[0]))
+    elif out.flags.f_contiguous:
+        lane.halves(lambda cols: _adjoint_rows(m[:, cols], out[:, cols],
+                                               slice(0, out.shape[0])),
+                    out.shape[1])
+    else:
+        lane.halves(partial(_adjoint_rows, m, out), out.shape[0])
     return out
+
+
+def _adjoint_rows(m, out, rows):
+    """Rows `rows` (a slice with a start and a stop) of
+    toeplitz_diff_adjoint(m), into out."""
+    lo, hi = rows.start, rows.stop
+    n = m.shape[0]
+    if lo == 0:
+        out[0] = m[0]
+        lo = 1
+    if hi == n + 1:
+        # out[n] = -m[n - 1], not np.negative(m[n - 1], out=out[n]): numpy
+        # 2.4.6 writes wrong values through the latter when both rows are
+        # strided views of column-major arrays (seen with 8-row inputs)
+        out[n] = -m[n - 1]
+        hi = n
+    np.subtract(m[lo:hi], m[lo - 1:hi - 1], out=out[lo:hi])
 
 
 def frobenius_norm(x):

@@ -1,3 +1,8 @@
+import collections
+import functools
+import inspect
+import sys
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -24,6 +29,8 @@ from tslto import (
     tucker_reconstruct,
     unfold,
 )
+from tslto import lanes
+from tslto import solver as solver_module
 from tslto.solver import (
     TraceRow,
     _r_gradient,
@@ -933,3 +940,121 @@ class TestHosvdFactors:
         with pytest.raises(ValueError,
                            match=r"ranks \(2, 5, 2\) exceed tensor dims \(4, 4, 4\)"):
             hosvd_factors(np.ones((4, 4, 4)), [2, 5, 2])
+
+
+def _lane_instance():
+    # 80 x 80 x 64: just above the lane's break-even size
+    inst = generate(SyntheticSpec(dims=(80, 80, 64), block_count=160,
+                                  missing_rate=0.3, seed=5))
+    assert inst.full.size >= lanes.LANE_MIN_ENTRIES
+    return project_observed(inst.full, inst.mask), inst.mask
+
+
+def _wrap_public_functions(monkeypatch, calls):
+    """Wrap every public function of the solver's modules in every tslto
+    namespace that holds it, as perfbench's tracer does; each call appends
+    (name, whether it ran on the main thread) to calls."""
+    modules = [sys.modules[f"tslto.{m}"]
+               for m in ("solver", "prox", "tensor_ops", "stiefel")]
+    namespaces = [m for n, m in list(sys.modules.items())
+                  if m is not None and (n == "tslto" or n.startswith("tslto."))]
+    for module in modules:
+        for name, fn in list(vars(module).items()):
+            if (name.startswith("_") or not inspect.isfunction(fn)
+                    or fn.__module__ != module.__name__):
+                continue
+
+            @functools.wraps(fn)
+            def wrapper(*args, fn=fn, name=name, **kwargs):
+                calls.append((name, threading.current_thread()
+                              is threading.main_thread()))
+                return fn(*args, **kwargs)
+
+            for namespace in namespaces:
+                for key, value in list(vars(namespace).items()):
+                    if value is fn:
+                        monkeypatch.setattr(namespace, key, wrapper)
+
+
+class TestLanes:
+    """A solve above the lane's break-even size runs with OpenBLAS held to
+    one thread and, on two CPUs, hands half of each pass to a worker."""
+
+    def test_lane_solve_matches_inline(self, monkeypatch):
+        y, mask = _lane_instance()
+        cfg = SolverConfig(max_outer=3, eps=1e-12)
+        threads = set()
+        free_value = solver_module._free_value
+
+        def spy(*args, **kwargs):
+            threads.add(threading.current_thread().name)
+            return free_value(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "_free_value", spy)
+        lane = solve(y, mask, cfg, trace_every=1)
+        if lanes.usable_cpus() >= 2 and lanes._openblas() is not None:
+            assert len(threads) == 2, threads
+        threads.clear()
+        monkeypatch.setattr(lanes, "usable_cpus", lambda: 1)
+        inline = solve(y, mask, cfg, trace_every=1)
+        assert threads == {threading.main_thread().name}
+        for name in ("x", "l", "r"):
+            assert getattr(lane, name).tobytes() == getattr(inline, name).tobytes()
+        # bitwise: equal floats, not approximately equal ones
+        assert lane.trace == inline.trace
+        assert (lane.iterations, lane.converged) == (inline.iterations,
+                                                     inline.converged)
+        assert lane.objective == inline.objective
+        assert lane.residuals == inline.residuals
+
+    def test_blas_threads_restored(self, monkeypatch):
+        found = lanes._openblas()
+        if found is None:
+            pytest.skip("no OpenBLAS thread setter found")
+        get, put = found
+        y, mask = _lane_instance()
+        cfg = SolverConfig(max_outer=2)
+        seen = []
+        update_G_ = solver_module.update_G
+
+        def recording_update_G(state):
+            seen.append(get())
+            return update_G_(state)
+
+        monkeypatch.setattr(solver_module, "update_G", recording_update_G)
+        original = get()
+        try:
+            put(2)
+            solve(y, mask, cfg)
+            assert seen == [1, 1] and get() == 2
+            monkeypatch.setattr(solver_module, "update_L",
+                                lambda state, cfg: np.full(state.l.shape, np.nan))
+            with pytest.raises(SolverDivergenceError):
+                solve(y, mask, cfg)
+            assert get() == 2
+            # below the break-even size BLAS keeps its threads
+            seen.clear()
+            small = generate(SyntheticSpec(dims=(20, 20, 20), block_count=10,
+                                           block_cols=40, seed=4))
+            with pytest.raises(SolverDivergenceError):
+                solve(small.full, small.mask, cfg)
+            assert seen == [2] and get() == 2
+        finally:
+            put(original)
+
+    def test_public_functions_stay_on_the_main_thread(self, monkeypatch):
+        y, mask = _lane_instance()
+        cfg = SolverConfig(max_outer=3, eps=1e-12)
+        threaded, inline = [], []
+        _wrap_public_functions(monkeypatch, threaded)
+        solve(y, mask, cfg, trace_every=2)
+        assert all(on_main for _, on_main in threaded), [
+            name for name, on_main in threaded if not on_main]
+        _wrap_public_functions(monkeypatch, inline)
+        monkeypatch.setattr(lanes, "usable_cpus", lambda: 1)
+        solve(y, mask, cfg, trace_every=2)
+        # the second wrap sees every call once; the first, wrapped around
+        # it, again
+        counts = collections.Counter(name for name, _ in inline)
+        assert collections.Counter(name for name, _ in threaded) == counts + counts
+        assert counts["hard_threshold_l0"] > 0 and counts["toeplitz_diff"] > 0
