@@ -22,6 +22,7 @@ import concurrent.futures
 import ctypes
 import os
 import sys
+import threading
 from contextlib import contextmanager
 from functools import cache, partial
 
@@ -78,23 +79,39 @@ def _in_multiprocessing_child():
     return mp is not None and mp.parent_process() is not None
 
 
+# The count is process-wide, so pins that overlap, from one thread or
+# several, share one: the first entry saves the count and sets it, and the
+# last exit restores it.
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved = None
+
+
 @contextmanager
 def blas_threads(n):
     """Hold OpenBLAS to n threads inside the block, and restore its count on
     exit, also on error.  Yields whether the pin is in force (False when no
-    OpenBLAS is found).  The count is process-wide: two threads must not
-    pin at once."""
+    OpenBLAS is found).  Pins may overlap: while one holds, another leaves
+    the count as it found it, and the count is restored when the last one
+    exits."""
+    global _pin_depth, _pin_saved
     found = _openblas()
     if found is None:
         yield False
         return
     get, put = found
-    old = get()
-    put(n)
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = get()
+            put(n)
+        _pin_depth += 1
     try:
         yield True
     finally:
-        put(old)
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                put(_pin_saved)
 
 
 class Lane:

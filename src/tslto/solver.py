@@ -17,11 +17,15 @@ A solve allocates its tensors once.  Its first iteration gives the state a
 :class:`Workspace`: a spare tensor that the X, R and L replacements swap
 with, R's gradient, two flat scratch buffers that each block views in the
 shape it needs, and the column-major mask.  Every block update, trace row
-and the final evaluation write into these buffers (and Z, W and P into
-themselves), so from the second iteration on no tensor-sized array is
-allocated or freed.  X equals the observations on the mask from
-`init_state` on, so `solve` keeps no copy of y: `update_X` forms
-L + R - P/s in the spare and copies the old X onto the mask with a
+and the final evaluation asks the workspace where a result goes: into
+these buffers, or, for Z, W, P and the kept D R, into the block itself
+(:meth:`Workspace.keep`), so from the second iteration on no tensor-sized
+array is allocated or freed.  A state without a workspace, such as the
+one a spelled-out loop runs on, is served by an allocating one: each
+buffer it hands out is a new array, so the same code writes nothing into
+the state and gives bitwise the same values.  X equals the observations on
+the mask from `init_state` on, so `solve` keeps no copy of y: `update_X`
+forms L + R - P/s in the spare and copies the old X onto the mask with a
 branch-free bit select (:func:`tslto.tensor_ops.copy_where`).
 
 A solve holds 11 tensor-sized arrays: X, L, R, P, Z, W and the kept D R,
@@ -146,9 +150,10 @@ class SolverState:
             frobenius_norm(y - toeplitz_diff(u))
             for y, u in zip((self.y1, self.y2, self.y3), self.factors)
         )
+        work = _work(self)
         res_z = frobenius_norm(np.subtract(
-            self.z, double_diff(self), out=_scratch(self, 0, self.z.shape)))
-        xlr = np.subtract(self.x, self.l, out=_scratch(self, 0, self.x.shape))
+            self.z, double_diff(self), out=work.scratch(0, self.z.shape)))
+        xlr = np.subtract(self.x, self.l, out=work.scratch(0, self.x.shape))
         xlr -= self.r
         return res_y, res_z, frobenius_norm(xlr)
 
@@ -161,6 +166,7 @@ class Workspace:
     - ``grad``: R's gradient.
     - two flat scratch buffers, which :meth:`scratch` views in the shape a
       block needs.
+    - :meth:`keep`: where a block updated in place goes.
     - ``mask``: the observation mask, column-major (one byte an entry; no
       copy when the given mask already is).
     - ``lane``: the :class:`tslto.lanes.Lane` that the block updates hand
@@ -168,9 +174,10 @@ class Workspace:
       worker.
 
     A state carries one as ``state.work`` (:func:`solve` or
-    :func:`admm_iteration` attaches it).  Without one, every update
-    allocates its result, so a loop that keeps the previous blocks, as a
-    test's spelled-out loop does, still can.
+    :func:`admm_iteration` attaches it).  A state without one is served by
+    an allocating workspace (:func:`_work`), whose buffers are new arrays
+    at each request and whose lane is inline, so a loop that keeps the
+    previous blocks, as a test's spelled-out loop does, still can.
     """
 
     def __init__(self, dims, mask, lane=INLINE):
@@ -189,18 +196,40 @@ class Workspace:
         which holds at most a tensor's entries."""
         return self._flat[i][:math.prod(shape)].reshape(shape, order="F")
 
-
-def _scratch(state, i, shape):
-    """The state's scratch buffer i in `shape`, or a new column-major array
-    when the state has no workspace."""
-    work = getattr(state, "work", None)
-    return np.empty(shape, order="F") if work is None else work.scratch(i, shape)
+    def keep(self, a):
+        """The array that block `a`'s update is written into: `a` itself,
+        as a solve updates Z, W, P and the kept D R in place."""
+        return a
 
 
-def _lane(state):
-    """The lane of the state's workspace; inline without one."""
-    work = getattr(state, "work", None)
-    return INLINE if work is None else work.lane
+class _AllocatingWorkspace:
+    """The workspace of a state that has none: each ``spare``, ``grad``,
+    ``scratch`` and ``keep`` is a new column-major array, and the lane is
+    inline."""
+
+    lane = INLINE
+
+    def __init__(self, dims):
+        self._dims = dims
+
+    spare = grad = property(lambda self: np.empty(self._dims, order="F"))
+
+    def scratch(self, i, shape):
+        return np.empty(shape, order="F")
+
+    def keep(self, a):
+        return np.empty(a.shape, order="F")
+
+
+def _work(state, mask=None):
+    """The state's workspace.  A state without one gets, given the mask, a
+    :class:`Workspace` of its own, and otherwise an allocating workspace
+    for the call."""
+    if getattr(state, "work", None) is None:
+        if mask is None:
+            return _AllocatingWorkspace(state.r.shape)
+        state.work = Workspace(state.r.shape, mask)
+    return state.work
 
 
 # One diagnostics row of :func:`solve`: the iteration, the model objective,
@@ -250,8 +279,8 @@ def double_diff(state):
     as the plain attribute ``_double_diff``, so any object with an ``r``
     attribute works.  It is recomputed whenever ``state.r`` is another array;
     the solver never writes into R in place.  :func:`update_R` leaves
-    D R + D delta there for the tensor it returns, in the same array when
-    the state has a workspace.
+    D R + D delta there for the tensor it returns, in the array its
+    workspace keeps for D R.
     """
     memo = getattr(state, "_double_diff", None)
     if memo is None or memo[0] is not state.r:
@@ -339,20 +368,16 @@ def init_state(y, mask, cfg):
 def update_X(state, y, mask):
     """X = Y on the mask, L + R - P/s elsewhere.
 
-    The result is a new array, column-major when y and mask are, or, with
-    a workspace, ``work.spare``, into which the full L + R - P/s is formed
-    and y copied on the mask (:func:`copy_where`): the same values either
-    way, at the same cost at every missing rate.
+    The full L + R - P/s is formed in the workspace's spare and y, read as
+    float64, copied onto the mask, read as bool, bit for bit
+    (:func:`copy_where`), at the same cost at every missing rate.
     """
-    work = getattr(state, "work", None)
-    if work is None:
-        free = state.l + state.r
-        free -= state.p / state.s
-        return np.where(mask, y, free)
-    scratch = work.scratch(0, state.x.shape)
-    work.lane.split(_free_value, state.l, state.r, state.p, work.spare,
-                    scratch, s=state.s)
-    return copy_where(work.spare, y, mask, scratch, lane=work.lane)
+    y, mask = np.asarray(y, dtype=float), np.asarray(mask, dtype=bool)
+    work = _work(state)
+    out, scratch = work.spare, work.scratch(0, state.l.shape)
+    work.lane.split(_free_value, state.l, state.r, state.p, out, scratch,
+                    s=state.s)
+    return copy_where(out, y, mask, scratch, lane=work.lane)
 
 
 def _free_value(l, r, p, out, tmp, s):
@@ -402,8 +427,8 @@ R_MAX_HALVINGS = 50
 def _r_gradient(state):
     """Gradient at state.r of the smooth part f of the R subproblem, the
     augmented-Lagrangian terms <Z - D R, W> + (gamma/2) ||Z - D R||^2
-    + <X - L - R, P> + (s/2) ||X - L - R||^2.  With a workspace it is
-    written into ``work.grad``.
+    + <X - L - R, P> + (s/2) ||X - L - R||^2, written into the workspace's
+    ``grad``.
 
     s (X - L + P/s - R) goes to scratch 0, with P/s in the spare (dead from
     X's swap to R's first trial), and the Z terms' residual to the Z-shaped
@@ -411,19 +436,17 @@ def _r_gradient(state):
     into the whole buffer.  The lane takes half of each pass.
     """
     dims, zshape = state.r.shape, state.z.shape
-    work = getattr(state, "work", None)
-    lane = _lane(state)
-    grad = np.empty(dims, order="F") if work is None else work.grad
-    res_xlr = _scratch(state, 0, dims)
+    work = _work(state)
+    lane, grad = work.lane, work.grad
+    res_xlr = work.scratch(0, dims)
     lane.split(_feasibility_residual, state.x, state.l, state.p, state.r,
-               res_xlr, np.empty(dims, order="F") if work is None else work.spare,
-               s=state.s)
+               res_xlr, work.spare, s=state.s)
     res_z = grad.reshape(-1, order="F")[:math.prod(zshape)].reshape(
         zshape, order="F")
     lane.split(_z_residual, state.w, state.z, double_diff(state), res_z,
                gamma=state.gamma)
     block_diff_adjoint(res_z, out=unfold(grad, 1),
-                       tmp=_scratch(state, 1, (dims[0], zshape[1])), lane=lane)
+                       tmp=work.scratch(1, (dims[0], zshape[1])), lane=lane)
     lane.split(_combine_gradient, grad, res_xlr, gamma=state.gamma)
     return grad
 
@@ -461,40 +484,37 @@ def update_R(state, cfg):
     :func:`double_diff`.  Returns the new tensor and the accepted step,
     which warm-starts the next outer iteration's line search.
 
-    With a workspace each trial is written into ``work.spare`` and D R is
-    updated in place.  The lane takes half of each elementwise pass, and
-    ||delta||^2 beside the row difference of delta.
+    Each trial is written into the workspace's spare.  The lane takes half
+    of each elementwise pass, and ||delta||^2 beside the row difference of
+    delta.
     """
     r = state.r
     dims = r.shape
-    work = getattr(state, "work", None)
-    lane = _lane(state)
+    work = _work(state)
+    lane = work.lane
     grad = _r_gradient(state)
     lam = state.prox_lam
     for _ in range(R_MAX_HALVINGS):
         # r - lam * grad, thresholded in place
-        candidate = np.empty(dims, order="F") if work is None else work.spare
+        candidate = work.spare
         lane.split(_descent_step, grad, r, candidate, step=-lam)
         hard_threshold_l0(candidate, lam * cfg.mu1, out=candidate,
-                          scratch=_scratch(state, 0, dims), lane=lane)
-        delta = _scratch(state, 0, dims)
+                          scratch=work.scratch(0, dims), lane=lane)
+        delta = work.scratch(0, dims)
         lane.split(np.subtract, candidate, r, delta)
         # D delta = column_diff(toeplitz_diff(unfold(delta, 1))); the column
         # difference overwrites delta's scratch
         sq, rows = lane.both(
             partial(_sum_squares, delta),
-            lambda: toeplitz_diff(unfold(delta, 1), out=_scratch(
-                state, 1, (dims[0] - 1, dims[1] * dims[2])), lane=lane))
-        d_delta = column_diff(rows, out=_scratch(state, 0, state.z.shape),
+            lambda: toeplitz_diff(unfold(delta, 1), out=work.scratch(
+                1, (dims[0] - 1, dims[1] * dims[2])), lane=lane))
+        d_delta = column_diff(rows, out=work.scratch(0, state.z.shape),
                               lane=lane)
         if (state.gamma * frobenius_inner(d_delta, d_delta) + state.s * sq
                 <= sq / lam):
-            # D R + D delta, into the kept D R, or into D delta without a
-            # workspace, so that the replaced R keeps its D R
-            total, term = double_diff(state), d_delta
-            if work is None:
-                total, term = term, total
-            lane.split(_accumulate, total, term)
+            d_r = double_diff(state)
+            total = work.keep(d_r)
+            lane.split(np.add, d_r, d_delta, total)
             state._double_diff = (candidate, total)
             return candidate, lam
         lam *= cfg.prox_rho
@@ -531,20 +551,19 @@ def _accumulate(out, *terms):
 def update_L(state, cfg):
     """Closed-form blend of the Tucker fit and the feasibility target:
     (beta * recon + s * (X - R) + P) / (beta + s), where the fit's weight
-    scales the r1 x r2 x r3 core before the reconstruction.  With a
-    workspace it is written into ``work.spare``.  The lane forms the two
-    other terms in the scratch buffers beside the reconstruction."""
+    scales the r1 x r2 x r3 core before the reconstruction.  It is written
+    into the workspace's spare.  The lane forms the two other terms in the
+    scratch buffers beside the reconstruction."""
     denom = cfg.beta + state.s
-    work = getattr(state, "work", None)
-    fit = _scratch(state, 0, state.x.shape)
-    dual = _scratch(state, 1, state.x.shape)
-    lane = _lane(state)
+    work = _work(state)
+    lane, spare = work.lane, work.spare
+    fit = work.scratch(0, state.x.shape)
+    dual = work.scratch(1, state.x.shape)
     _, out = lane.both(
         partial(_l_terms, state.x, state.r, state.p, fit, dual,
                 weight=state.s / denom, denom=denom),
         lambda: tucker_reconstruct(cfg.beta / denom * state.g,
-                                   state.u1, state.u2, state.u3,
-                                   out=None if work is None else work.spare))
+                                   state.u1, state.u2, state.u3, out=spare))
     lane.split(_accumulate, out, fit, dual)
     return out
 
@@ -569,19 +588,16 @@ def update_Y(state, cfg):
 
 
 def update_Z(state, cfg):
-    """Elementwise hard threshold on the doubly-differenced anomaly block.
-
-    With a workspace Z is updated in place.  The lane takes half of each
-    pass.
-    """
-    work = getattr(state, "work", None)
-    lane = _lane(state)
-    target = np.empty(state.w.shape, order="F") if work is None else state.z
-    lane.split(_z_target, state.w, double_diff(state), target,
-               gamma=state.gamma)
+    """Elementwise hard threshold on the doubly-differenced anomaly block,
+    written where the workspace keeps Z.  The lane takes half of each
+    pass."""
+    work = _work(state)
+    target = work.keep(state.z)
+    work.lane.split(_z_target, state.w, double_diff(state), target,
+                    gamma=state.gamma)
     return hard_threshold_l0(target, cfg.mu2 / state.gamma, out=target,
-                             scratch=_scratch(state, 0, target.shape),
-                             lane=lane)
+                             scratch=work.scratch(0, target.shape),
+                             lane=work.lane)
 
 
 def _z_target(w, d_r, out, gamma):
@@ -591,21 +607,17 @@ def _z_target(w, d_r, out, gamma):
 
 
 def update_multipliers(state):
-    """Dual ascent on the five constraints.  With a workspace W and P are
-    updated in place.  The lane takes half of each of their passes."""
-    work = getattr(state, "work", None)
-    lane = _lane(state)
+    """Dual ascent on the five constraints, W and P written where the
+    workspace keeps them.  The lane takes half of each of their passes."""
+    work = _work(state)
     v1 = state.v1 + state.alpha[0] * (state.y1 - toeplitz_diff(state.u1))
     v2 = state.v2 + state.alpha[1] * (state.y2 - toeplitz_diff(state.u2))
     v3 = state.v3 + state.alpha[2] * (state.y3 - toeplitz_diff(state.u3))
-    tmp = _scratch(state, 0, state.z.shape)
-    w = tmp if work is None else state.w
-    lane.split(_ascent, state.w, tmp, w, state.z, double_diff(state),
-               step=state.gamma)
-    tmp = _scratch(state, 0, state.p.shape)
-    p = tmp if work is None else state.p
-    lane.split(_ascent, state.p, tmp, p, state.x, state.l, state.r,
-               step=state.s)
+    w, p = work.keep(state.w), work.keep(state.p)
+    work.lane.split(_ascent, state.w, work.scratch(0, state.w.shape), w,
+                    state.z, double_diff(state), step=state.gamma)
+    work.lane.split(_ascent, state.p, work.scratch(0, state.p.shape), p,
+                    state.x, state.l, state.r, step=state.s)
     return v1, v2, v3, w, p
 
 
@@ -640,7 +652,7 @@ def check_convergence(changes, eps):
 
 def model_objective(state, cfg):
     recon = tucker_reconstruct(state.g, state.u1, state.u2, state.u3,
-                               out=_scratch(state, 0, state.l.shape))
+                               out=_work(state).scratch(0, state.l.shape))
     recon -= state.l
     return (
         0.5 * cfg.beta * frobenius_norm(recon) ** 2
@@ -661,8 +673,8 @@ def _replace(state, name, block):
     SolverDivergenceError when the block is not finite.
     """
     prev = getattr(state, name)
-    diff = _scratch(state, 0, block.shape)
-    lane = _lane(state)
+    work = state.work
+    lane, diff = work.lane, work.scratch(0, block.shape)
     lane.split(np.subtract, prev, block, diff)
     step, prev_norm = lane.both(partial(_norm, diff),
                                 lambda: frobenius_norm(prev))
@@ -674,8 +686,8 @@ def _replace(state, name, block):
         raise SolverDivergenceError(
             f"non-finite state at outer iteration {state.iter}"
         )
-    if state.work is not None and block is state.work.spare:
-        state.work.spare = prev
+    if block is work.spare:
+        work.spare = prev
     setattr(state, name, block)
     return change
 
@@ -690,9 +702,8 @@ def admm_iteration(state, mask, cfg):
     the relative changes of X, G, L and R, each taken as the block is
     replaced.
     """
-    if state.work is None:
-        state.work = Workspace(state.x.shape, mask)
-    rel_x = _replace(state, "x", update_X(state, state.x, state.work.mask))
+    work = _work(state, mask)
+    rel_x = _replace(state, "x", update_X(state, state.x, work.mask))
     rel_g = _replace(state, "g", update_G(state))
     state.u1, state.u2, state.u3 = update_U(state, cfg)
     r, state.prox_lam = update_R(state, cfg)

@@ -104,3 +104,39 @@ class TestSolveLane:
         monkeypatch.setattr(lanes, "_openblas", lambda: None)
         with solve_lane(lanes.LANE_MIN_ENTRIES) as lane:
             assert lane is INLINE
+
+
+class TestBlasThreads:
+    def test_overlapping_pins_hold_until_the_last_exits(self):
+        found = lanes._openblas()
+        if found is None:
+            pytest.skip("no OpenBLAS thread setter found")
+        get, put = found
+        a_in, b_in, a_out = (threading.Event() for _ in range(3))
+        inside_b = []
+
+        def a():
+            with lanes.blas_threads(1):
+                a_in.set()
+                b_in.wait(10)
+            a_out.set()
+
+        def b():
+            a_in.wait(10)
+            with lanes.blas_threads(1):
+                b_in.set()
+                a_out.wait(10)
+                inside_b.append(get())
+
+        original = get()
+        try:
+            put(2)
+            threads = [threading.Thread(target=f) for f in (a, b)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(20)
+            assert a_out.is_set() and inside_b == [1]
+            assert get() == 2
+        finally:
+            put(original)

@@ -378,6 +378,20 @@ class TestUpdateX:
         x = update_X(st, y, mask)
         assert np.array_equal(x[mask], y[mask])
 
+    def test_non_finite_off_a_row_major_mask_matches_where(self):
+        y, _, _ = exact_tucker_tensor(5)
+        rng = np.random.default_rng(7)
+        mask = rng.random(y.shape) < 0.6
+        assert mask.flags.c_contiguous and not mask.flags.f_contiguous
+        y = np.where(mask, y, np.nan)
+        y[tuple(np.argwhere(~mask)[0])] = np.inf
+        y[tuple(np.argwhere(~mask)[1])] = -np.inf
+        st = SimpleNamespace(l=rng.standard_normal(y.shape),
+                             r=rng.standard_normal(y.shape),
+                             p=rng.standard_normal(y.shape), s=1.7)
+        want = np.where(mask, y, st.l + st.r - st.p / st.s)
+        assert update_X(st, y, mask).tobytes() == want.tobytes()
+
 
 class TestUpdateG:
     def test_recovers_exact_core(self):
@@ -545,15 +559,15 @@ class TestUpdateYZ:
         rng = np.random.default_rng(17)
         r = rng.standard_normal((4, 3, 3))
         w = rng.standard_normal((3, 8))
-        st = SimpleNamespace(r=r, w=w, gamma=5.0)
+        st = SimpleNamespace(r=r, z=np.zeros_like(w), w=w, gamma=5.0)
         np.testing.assert_allclose(
             update_Z(st, SolverConfig(mu2=0.0)),
             block_diff(unfold(r, 1)) - w / 5.0, atol=1e-12,
         )
 
     def test_constant_anomaly_zero_z(self):
-        st = SimpleNamespace(r=np.full((4, 3, 3), 2.5), w=np.zeros((3, 8)),
-                             gamma=5.0)
+        st = SimpleNamespace(r=np.full((4, 3, 3), 2.5), z=np.ones((3, 8)),
+                             w=np.zeros((3, 8)), gamma=5.0)
         np.testing.assert_array_equal(update_Z(st, SolverConfig(mu2=20.0)),
                                       np.zeros((3, 8)))
 
@@ -595,6 +609,35 @@ class TestMultipliers:
 
 def _changes(prev_blocks, cur_blocks):
     return [_relative_change(p, c) for p, c in zip(prev_blocks, cur_blocks)]
+
+
+class TestWithoutWorkspace:
+    def test_updates_write_nothing_into_the_state(self):
+        # without a workspace each update allocates its result: the state,
+        # and the D R kept for it, are left bit for bit as they were
+        y, _, _ = exact_tucker_tensor(28, dims=(7, 6, 5))
+        mask = np.random.default_rng(29).random(y.shape) < 0.7
+        cfg = SolverConfig(ranks=(2, 2, 2), mu1=0.5)
+        st = init_state(project_observed(y, mask), mask, cfg)
+        rng = np.random.default_rng(30)
+        for name in ("r", "z", "w", "p"):
+            block = getattr(st, name)
+            setattr(st, name, np.asfortranarray(
+                rng.standard_normal(block.shape)))
+        held = [a for a in vars(st).values() if isinstance(a, np.ndarray)]
+        held.append(double_diff(st))
+        before = [a.copy() for a in held]
+        returned = [update_X(st, st.x, mask), update_G(st),
+                    *update_U(st, cfg), update_R(st, cfg)[0],
+                    update_L(st, cfg), *update_Y(st, cfg), update_Z(st, cfg),
+                    *update_multipliers(st)]
+        st.residuals()
+        model_objective(st, cfg)
+        assert st.work is None
+        for a, copy in zip(held, before):
+            assert a.tobytes() == copy.tobytes()
+        for out in returned:
+            assert not any(np.shares_memory(out, a) for a in held)
 
 
 class TestConvergence:
@@ -841,9 +884,9 @@ class TestSolve:
                   SolverConfig(ranks=(2, 2, 2), eps=1e-30))
 
     def test_non_finite_unobserved_entries_stay_out_of_the_state(self):
-        # update_X merges with np.where, so NaN and inf off the mask never
-        # reach X; an arithmetic merge (free * ~mask + y * mask) would carry
-        # NaN * 0 = NaN into the state
+        # update_X merges with a bit select (copy_where), so NaN and inf off
+        # the mask never reach X; an arithmetic merge (free * ~mask
+        # + y * mask) would carry NaN * 0 = NaN into the state
         inst = generate(SyntheticSpec(dims=(20, 20, 20), block_count=10,
                                       block_cols=40, missing_rate=0.3, seed=4))
         y = np.where(inst.mask, inst.full, np.nan)
